@@ -18,7 +18,6 @@ from .coverage import (
     EfficiencyComparison,
     Method,
     MinCoverageReport,
-    PivotJoint,
     coverage_curve,
     coverage_probability,
     efficiency_comparison,
@@ -87,7 +86,6 @@ __all__ = [
     "ModelParams",
     "NumericalError",
     "PeriodDifferences",
-    "PivotJoint",
     "QuadratureError",
     "RouteDisagreementError",
     "SimConfig",

@@ -18,13 +18,8 @@ import math
 
 from scipy.special import owens_t
 
-from .errors import DomainError
+from .errors import DomainError, _checked_real
 from .normal import _cdf
-
-
-def _validate_corr(rho: float) -> None:
-    if not (math.isfinite(rho) and -1.0 <= rho <= 1.0):
-        raise DomainError("rho must lie in [-1, 1]")
 
 
 def bvn_cdf(h: float, k: float, rho: float) -> float:
@@ -33,7 +28,9 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     Accepts infinite bounds; rejects NaN. Degenerate correlations +/-1 are
     handled exactly.
     """
-    _validate_corr(rho)
+    rho = _checked_real("rho", rho)
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError("rho must lie in [-1, 1]")
     if math.isnan(h) or math.isnan(k):
         raise DomainError("bounds must not be NaN")
     if h == -math.inf or k == -math.inf:

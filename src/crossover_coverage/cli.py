@@ -34,7 +34,7 @@ from .coverage import (
     min_coverage_table,
     reject_cover_routes,
 )
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _checked_int
 from .simulate import SimConfig, empirical_coverage, estimator_moments, theoretical_moments
 from .trial import ModelParams, TrialDesign, scaled_carryover
 
@@ -163,6 +163,8 @@ def _check(name: str, ok: bool, detail: str, failures: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
+    # The variance gates below need at least two replications.
+    reps = _checked_int("validate --reps", args.reps, 2)
     failures: list[str] = []
 
     # (a) cross-route agreement of the reject-branch joint term.
@@ -186,7 +188,7 @@ def cmd_validate(args) -> int:
         psi = target_gamma / scaled_carryover(1.0, design, 1.0)
         params = ModelParams.from_effects(0.7, psi, between_subject_var=1.0,
                                           error_var=1.0)
-        config = SimConfig.create(design, params, alpha1, alpha, args.reps,
+        config = SimConfig.create(design, params, alpha1, alpha, reps,
                                   (args.seed + i) % 2**64)
         gamma = scaled_carryover(params.differential_carryover, design, 1.0)
         analytic = coverage_probability(CoverageQuery(gamma, alpha1, alpha))
@@ -200,7 +202,7 @@ def cmd_validate(args) -> int:
     mom_design = TrialDesign(8, 8)
     mom_params = ModelParams.from_effects(0.7, 0.3, between_subject_var=1.0,
                                           error_var=1.0)
-    mom_reps = min(args.reps, 100_000)
+    mom_reps = min(reps, 100_000)
     mom_config = SimConfig.create(mom_design, mom_params, alpha1, alpha,
                                   mom_reps, args.seed)
     sample = estimator_moments(mom_config)

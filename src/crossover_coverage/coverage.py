@@ -31,14 +31,20 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bivariate import bvn_rectangle
-from .errors import DomainError, QuadratureError, RouteDisagreementError
+from .errors import (
+    DomainError,
+    QuadratureError,
+    RouteDisagreementError,
+    _checked_int,
+    _checked_real,
+)
 from .normal import _cdf, _pdf, std_normal_quantile
 
 #: Correlation between the robust-branch pivot and the pretest statistic.
 PIVOT_PRETEST_CORR = 3.0 / math.sqrt(11.0)
 
-#: Conditional variance of the pretest statistic given the robust pivot.
-_COND_VAR = 2.0 / 11.0
+#: Given the robust pivot g, the pretest statistic has mean
+#: gamma + _COND_SLOPE * g and variance 2/11.
 _COND_SLOPE = 3.0 / math.sqrt(11.0)
 _INV_COND_SD = math.sqrt(11.0 / 2.0)
 
@@ -55,16 +61,6 @@ ROUTE_AGREEMENT_TOL = 5e-9
 _EPS = float(np.finfo(float).eps)
 
 
-def _validate_level(name: str, a: float) -> None:
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and 0.0 < a < 1.0):
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {a!r}")
-
-
-def _validate_gamma(gamma: float) -> None:
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma)):
-        raise DomainError(f"gamma must be finite, got {gamma!r}")
-
-
 @dataclass(frozen=True)
 class CoverageQuery:
     """Point at which to evaluate the coverage probability."""
@@ -74,15 +70,15 @@ class CoverageQuery:
     alpha: float
 
     def __post_init__(self):
-        _validate_gamma(self.gamma)
-        _validate_level("alpha1", self.alpha1)
-        _validate_level("alpha", self.alpha)
+        object.__setattr__(self, "gamma", _checked_real("gamma", self.gamma))
+        for name in ("alpha1", "alpha"):
+            object.__setattr__(self, name,
+                               _checked_real(name, getattr(self, name), level=True))
 
 
 class Method(enum.Enum):
     """How a coverage value was obtained."""
 
-    BIVARIATE_CDF = "bivariate_cdf"
     CONDITIONAL_QUADRATURE = "conditional_quadrature"
     MONTE_CARLO = "monte_carlo"
 
@@ -116,26 +112,6 @@ class MinCoverageReport:
     alpha: float
 
 
-@dataclass(frozen=True)
-class PivotJoint:
-    """Joint law of (robust-branch pivot, pretest statistic).
-
-    The pivot is standard normal, the pretest statistic is N(gamma, 1),
-    and their correlation is 3/sqrt(11) regardless of the trial design.
-    """
-
-    gamma: float
-
-    mean_pivot: float = 0.0
-    var_pivot: float = 1.0
-    var_pretest: float = 1.0
-    corr: float = PIVOT_PRETEST_CORR
-
-    @property
-    def mean_pretest(self) -> float:
-        return self.gamma
-
-
 class CurvePoint(NamedTuple):
     gamma: float
     coverage: float
@@ -164,8 +140,8 @@ def _pooled_inside_prob(gamma: float, c: float) -> float:
 
 def pretest_accept_prob(gamma: float, alpha1: float) -> float:
     """Probability the carryover pretest accepts, as a function of gamma."""
-    _validate_gamma(gamma)
-    _validate_level("alpha1", alpha1)
+    gamma = _checked_real("gamma", gamma)
+    alpha1 = _checked_real("alpha1", alpha1, level=True)
     return _clip_prob(_accept_prob(gamma, std_normal_quantile(alpha1)))
 
 
@@ -175,8 +151,8 @@ def pooled_cover_prob(gamma: float, alpha: float) -> float:
     The pooled estimator is biased by the carryover, so its pivot sits at
     mean -3*gamma/sqrt(2); this probability collapses quickly in |gamma|.
     """
-    _validate_gamma(gamma)
-    _validate_level("alpha", alpha)
+    gamma = _checked_real("gamma", gamma)
+    alpha = _checked_real("alpha", alpha, level=True)
     return _clip_prob(_pooled_inside_prob(gamma, std_normal_quantile(alpha)))
 
 
@@ -236,12 +212,10 @@ def reject_cover_routes(gamma: float, alpha1: float,
 
     Returns (bivariate-cdf value, quadrature value, quadrature err bound).
     """
-    _validate_gamma(gamma)
-    _validate_level("alpha1", alpha1)
-    _validate_level("alpha", alpha)
-    c1 = std_normal_quantile(alpha1)
-    c = std_normal_quantile(alpha)
-    return _reject_cover_routes(gamma, alpha, c1, c)
+    query = CoverageQuery(gamma, alpha1, alpha)
+    c1 = std_normal_quantile(query.alpha1)
+    c = std_normal_quantile(query.alpha)
+    return _reject_cover_routes(query.gamma, query.alpha, c1, c)
 
 
 def _coverage_value(gamma: float, alpha: float, c1: float,
@@ -270,13 +244,13 @@ def coverage_probability(query: CoverageQuery) -> CoverageResult:
 def coverage_curve(alpha1: float, alpha: float, gamma_min: float,
                    gamma_max: float, steps: int) -> list[CurvePoint]:
     """Coverage evaluated on an evenly spaced gamma grid (endpoints included)."""
-    _validate_level("alpha1", alpha1)
-    _validate_level("alpha", alpha)
-    if not (math.isfinite(gamma_min) and math.isfinite(gamma_max)
-            and gamma_min < gamma_max):
-        raise DomainError("need gamma_min < gamma_max, both finite")
-    if steps < 2:
-        raise DomainError("steps must be at least 2")
+    alpha1 = _checked_real("alpha1", alpha1, level=True)
+    alpha = _checked_real("alpha", alpha, level=True)
+    gamma_min = _checked_real("gamma_min", gamma_min)
+    gamma_max = _checked_real("gamma_max", gamma_max)
+    if not gamma_min < gamma_max:
+        raise DomainError("need gamma_min < gamma_max")
+    steps = _checked_int("steps", steps, 2)
     c1 = std_normal_quantile(alpha1)
     c = std_normal_quantile(alpha)
     grid = np.linspace(gamma_min, gamma_max, steps)
@@ -293,7 +267,8 @@ def _golden_section(f: Callable[[float], float], lo: float, hi: float,
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
+    # The second test ends the loop once doubles cannot split the bracket.
+    while b - a > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -323,10 +298,15 @@ def min_coverage(alpha1: float, alpha: float, *, gamma_max: float = 20.0,
     Beyond gamma_max = 20 both gamma-dependent terms are indistinguishable
     from their limits, so nothing can hide out there.
     """
-    _validate_level("alpha1", alpha1)
-    _validate_level("alpha", alpha)
+    alpha1 = _checked_real("alpha1", alpha1, level=True)
+    alpha = _checked_real("alpha", alpha, level=True)
+    gamma_max = _checked_real("gamma_max", gamma_max)
+    grid_step = _checked_real("grid_step", grid_step)
+    refine_tol = _checked_real("refine_tol", refine_tol)
     if not (grid_step > 0.0 and gamma_max > grid_step):
         raise DomainError("need 0 < grid_step < gamma_max")
+    if refine_tol <= 0.0:
+        raise DomainError("refine_tol must be positive")
     c1 = std_normal_quantile(alpha1)
     c = std_normal_quantile(alpha)
 
@@ -348,7 +328,7 @@ def min_coverage(alpha1: float, alpha: float, *, gamma_max: float = 20.0,
 def min_coverage_table(alpha1_list: Sequence[float],
                        alpha_list: Sequence[float]) -> list[MinCoverageReport]:
     """Cartesian product of min_coverage over the two level lists."""
-    if not alpha1_list or not alpha_list:
+    if len(alpha1_list) == 0 or len(alpha_list) == 0:
         raise DomainError("level lists must be nonempty")
     return [min_coverage(a1, a)
             for a1 in alpha1_list for a in alpha_list]
@@ -364,12 +344,13 @@ def efficiency_comparison(sigma_s2: float, sigma_e2: float,
     measurements. The crossover estimator wins exactly when the
     between-subject variance is at least 4.5 times the error variance.
     """
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
-        raise DomainError("n must be a positive integer")
-    if not (math.isfinite(sigma_e2) and sigma_e2 > 0.0):
-        raise DomainError("sigma_e2 must be positive and finite")
-    if not (math.isfinite(sigma_s2) and sigma_s2 >= 0.0):
-        raise DomainError("sigma_s2 must be nonnegative and finite")
+    n = _checked_int("n", n, 1)
+    sigma_e2 = _checked_real("sigma_e2", sigma_e2)
+    sigma_s2 = _checked_real("sigma_s2", sigma_s2)
+    if sigma_e2 <= 0.0:
+        raise DomainError("sigma_e2 must be positive")
+    if sigma_s2 < 0.0:
+        raise DomainError("sigma_s2 must be nonnegative")
     var_robust = 11.0 * sigma_e2 / (4.0 * n)
     var_randomized = (sigma_e2 + sigma_s2) / (2.0 * n)
     return EfficiencyComparison(

@@ -11,12 +11,12 @@ the counter space of a Philox stream keyed by ``s``. Results are therefore
 bit-identical regardless of chunking or evaluation order, and any single
 replication can be regenerated in isolation with ``replication_stream``.
 
-Normal variates come from the inverse-cdf transform of open-interval
-uniforms built from the raw 64-bit words, reusing this package's quantile
-implementation, so the simulator introduces no second normal
-approximation. Each replication consumes exactly ``5 * (n1 + n2)`` raw
-words (one per subject effect, one per subject-period error), padded to a
-multiple of 4 words because Philox advances in 4-word blocks.
+Normal variates are ``std_normal_inverse_cdf`` (scipy's ``ndtri``) of
+open-interval uniforms built from the raw 64-bit words. Each replication
+consumes exactly ``5 * (n1 + n2)`` raw words (one per subject effect, one
+per subject-period error), padded to a multiple of 4 words because Philox
+advances in 4-word blocks. ``_responses`` maps the words to responses for
+both the single-trial and the batch path.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import CoverageResult, Method, PIVOT_PRETEST_CORR
-from .errors import DomainError
+from .errors import DomainError, _checked_int
 from .normal import std_normal_inverse_cdf, std_normal_quantile
 from .trial import (
     ModelParams,
@@ -42,14 +42,8 @@ from .trial import (
     robust_half_width,
 )
 
-_MAX_SEED = 2**64
-
-
-def _validate_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError("seed must be an integer")
-    if not 0 <= int(seed) < _MAX_SEED:
-        raise DomainError("seed must fit in an unsigned 64-bit integer")
+#: Philox keys are unsigned 64-bit integers.
+_SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -63,9 +57,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.replications, (int, np.integer)) or self.replications < 1:
-            raise DomainError("replications must be a positive integer")
-        _validate_seed(self.seed)
+        object.__setattr__(self, "replications",
+                           _checked_int("replications", self.replications, 1))
+        object.__setattr__(self, "seed", _checked_int("seed", self.seed, 0, _SEED_LIMIT))
         # The procedure uses the known true error scale.
         if not math.isclose(self.two_stage.sigma_e,
                             math.sqrt(self.params.error_var),
@@ -171,21 +165,16 @@ def _padded_draws_per_rep(design: TrialDesign) -> int:
 def replication_stream(seed: int, rep_index: int,
                        design: TrialDesign) -> np.random.Generator:
     """Generator positioned at replication rep_index's private counter slice."""
-    _validate_seed(seed)
-    if not isinstance(rep_index, (int, np.integer)) or rep_index < 0:
-        raise DomainError("rep_index must be a nonnegative integer")
-    bit_gen = np.random.Philox(key=int(seed))
-    bit_gen.advance(int(rep_index) * _padded_draws_per_rep(design) // 4)
+    seed = _checked_int("seed", seed, 0, _SEED_LIMIT)
+    rep_index = _checked_int("rep_index", rep_index, 0)
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(rep_index * _padded_draws_per_rep(design) // 4)
     return np.random.Generator(bit_gen)
 
 
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     # (k + 1/2) / 2**52 over the top 52 bits: exact, symmetric, never 0 or 1.
     return ((raw >> 12).astype(np.float64) + 0.5) * 2.0**-52
-
-
-def _standard_normals(raw: np.ndarray) -> np.ndarray:
-    return std_normal_inverse_cdf(_open_uniforms(raw))
 
 
 def _fixed_effects(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -206,39 +195,57 @@ def _fixed_effects(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return group1, group2
 
 
+def _responses(design: TrialDesign, params: ModelParams,
+               raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both groups' responses from a (count, 5 * (n1 + n2)) block of raw words.
+
+    Each row holds one trial, in a fixed order: subject effects for group
+    1, then group 2, then the per-subject-period errors of group 1, then
+    group 2. Returns arrays of shape (count, n1, 4) and (count, n2, 4).
+    """
+    n1, n2 = design.n1, design.n2
+    total = n1 + n2
+    count = raw.shape[0]
+    z = std_normal_inverse_cdf(_open_uniforms(raw))
+    sigma_s = math.sqrt(params.between_subject_var)
+    sigma_e = math.sqrt(params.error_var)
+    xi1 = sigma_s * z[:, :n1]
+    xi2 = sigma_s * z[:, n1:total]
+    eps1 = sigma_e * z[:, total:total + 4 * n1].reshape(count, n1, 4)
+    eps2 = sigma_e * z[:, total + 4 * n1:].reshape(count, n2, 4)
+    fixed1, fixed2 = _fixed_effects(params)
+    return fixed1 + xi1[:, :, None] + eps1, fixed2 + xi2[:, :, None] + eps2
+
+
 def simulate_trial(design: TrialDesign, params: ModelParams,
                    rng: np.random.Generator) -> SubjectResponses:
     """Draw one complete trial at the subject level.
 
     Consumes exactly ``5 * (n1 + n2)`` raw words from ``rng``'s bit
-    generator, in a fixed order: subject effects for group 1, then group
-    2, then the per-subject-period errors of group 1, then group 2.
+    generator, laid out as in one replication of the batch engine.
     """
-    n1, n2 = design.n1, design.n2
-    total = n1 + n2
-    raw = rng.bit_generator.random_raw(5 * total)
-    z = _standard_normals(raw)
-    sigma_s = math.sqrt(params.between_subject_var)
-    sigma_e = math.sqrt(params.error_var)
-    xi1 = sigma_s * z[:n1]
-    xi2 = sigma_s * z[n1:total]
-    eps1 = sigma_e * z[total:total + 4 * n1].reshape(n1, 4)
-    eps2 = sigma_e * z[total + 4 * n1:].reshape(n2, 4)
-    fixed1, fixed2 = _fixed_effects(params)
-    return SubjectResponses(group1=fixed1 + xi1[:, None] + eps1,
-                            group2=fixed2 + xi2[:, None] + eps2)
+    raw = rng.bit_generator.random_raw(_draws_per_rep(design))
+    y1, y2 = _responses(design, params, raw[None, :])
+    return SubjectResponses(group1=y1[0], group2=y2[0])
 
 
 def _auto_chunk(design: TrialDesign, replications: int) -> int:
-    budget = int(4_000_000 // _padded_draws_per_rep(design))
+    # At most 16,384 words per chunk keeps each float64 temporary within
+    # 128 KiB, the C allocator's default threshold for mapping fresh pages,
+    # so successive chunks reuse the same heap memory instead of faulting
+    # new pages in. Hits do not depend on the chunk size.
+    budget = 16_384 // _padded_draws_per_rep(design)
     return max(1, min(replications, budget))
 
 
-def _chunk_bounds(total: int, size: int):
-    start = 0
-    while start < total:
-        yield start, min(size, total - start)
-        start += size
+def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> list[tuple[int, int]]:
+    """(start, count) of each chunk of the run; chunk_size None sizes them."""
+    total = config.replications
+    if chunk_size is None:
+        size = _auto_chunk(config.design, total)
+    else:
+        size = _checked_int("chunk_size", chunk_size, 1)
+    return [(start, min(size, total - start)) for start in range(0, total, size)]
 
 
 def _batch_estimates(config: SimConfig, start: int, count: int):
@@ -247,25 +254,14 @@ def _batch_estimates(config: SimConfig, start: int, count: int):
     Element-for-element identical to running simulate_trial,
     reduce_responses and estimate_effects one replication at a time.
     """
-    design, params = config.design, config.params
-    n1, n2 = design.n1, design.n2
-    total = n1 + n2
+    design = config.design
     b = _draws_per_rep(design)
     b_pad = _padded_draws_per_rep(design)
-    bit_gen = np.random.Philox(key=int(config.seed))
+    bit_gen = np.random.Philox(key=config.seed)
     bit_gen.advance(start * b_pad // 4)
     raw = bit_gen.random_raw(count * b_pad).reshape(count, b_pad)[:, :b]
-    z = _standard_normals(raw)
-    sigma_s = math.sqrt(params.between_subject_var)
-    sigma_e = math.sqrt(params.error_var)
-    xi1 = sigma_s * z[:, :n1]
-    xi2 = sigma_s * z[:, n1:total]
-    eps1 = sigma_e * z[:, total:total + 4 * n1].reshape(count, n1, 4)
-    eps2 = sigma_e * z[:, total + 4 * n1:].reshape(count, n2, 4)
-    fixed1, fixed2 = _fixed_effects(params)
-    y1 = fixed1 + xi1[:, :, None] + eps1
-    y2 = fixed2 + xi2[:, :, None] + eps2
-    d = y1.sum(axis=1) / n1 - y2.sum(axis=1) / n2
+    y1, y2 = _responses(design, config.params, raw)
+    d = y1.sum(axis=1) / design.n1 - y2.sum(axis=1) / design.n2
     d1, d2, d3, d4 = d[:, 0], d[:, 1], d[:, 2], d[:, 3]
     return (pooled_effect_estimate(d1, d2, d3, d4),
             robust_effect_estimate(d1, d2, d3, d4),
@@ -286,12 +282,9 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
     crit1 = std_normal_quantile(ts.alpha1)
     hw_pooled = pooled_half_width(design.m, ts.alpha, ts.sigma_e)
     hw_robust = robust_half_width(design.m, ts.alpha, ts.sigma_e)
-    size = chunk_size or _auto_chunk(design, config.replications)
-    if size < 1:
-        raise DomainError("chunk_size must be positive")
     hits = 0
     accepts = 0
-    for start, count in _chunk_bounds(config.replications, size):
+    for start, count in _chunk_bounds(config, chunk_size):
         pooled, robust, carry = _batch_estimates(config, start, count)
         stat = scale * carry / ts.sigma_e
         accepted = np.abs(stat) < crit1
@@ -314,11 +307,8 @@ def estimator_moments(config: SimConfig, *, chunk_size: int | None = None) -> Es
     Moments are computed once over the assembled per-replication values,
     so they too are independent of chunk_size.
     """
-    size = chunk_size or _auto_chunk(config.design, config.replications)
-    if size < 1:
-        raise DomainError("chunk_size must be positive")
     parts = [_batch_estimates(config, start, count)
-             for start, count in _chunk_bounds(config.replications, size)]
+             for start, count in _chunk_bounds(config, chunk_size)]
     pooled = np.concatenate([p[0] for p in parts])
     robust = np.concatenate([p[1] for p in parts])
     carry = np.concatenate([p[2] for p in parts])

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _checked_int, _checked_real
 from .normal import std_normal_quantile
 
 
@@ -33,9 +33,8 @@ class TrialDesign:
     n2: int
 
     def __post_init__(self):
-        for name, n in (("n1", self.n1), ("n2", self.n2)):
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-                raise DomainError(f"{name} must be a positive integer, got {n!r}")
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), 1))
 
     @property
     def m(self) -> float:
@@ -68,11 +67,11 @@ class ModelParams:
     def __post_init__(self):
         if len(self.period_effects) != 4:
             raise DomainError("period_effects must have exactly 4 entries")
-        values = (self.grand_mean, *self.period_effects, self.treatment_a,
-                  self.treatment_b, self.carryover_a, self.carryover_b,
-                  self.between_subject_var, self.error_var)
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError("model parameters must be finite")
+        object.__setattr__(self, "period_effects", tuple(
+            _checked_real("period_effects", v) for v in self.period_effects))
+        for name in ("grand_mean", "treatment_a", "treatment_b", "carryover_a",
+                     "carryover_b", "between_subject_var", "error_var"):
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name)))
         if self.error_var <= 0.0:
             raise DomainError("error_var must be positive")
         if self.between_subject_var < 0.0:
@@ -93,6 +92,8 @@ class ModelParams:
                      between_subject_var=1.0, error_var=1.0, grand_mean=0.0,
                      period_effects=(0.0, 0.0, 0.0, 0.0)) -> "ModelParams":
         """Build params hitting the given estimands (up to one rounding)."""
+        differential_carryover = _checked_real("differential_carryover",
+                                               differential_carryover)
         return cls(
             grand_mean=grand_mean,
             period_effects=tuple(period_effects),
@@ -151,12 +152,12 @@ class TwoStageConfig:
     sigma_e: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha1 < 1.0:
-            raise DomainError("alpha1 must lie strictly inside (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("alpha must lie strictly inside (0, 1)")
-        if not (math.isfinite(self.sigma_e) and self.sigma_e > 0.0):
-            raise DomainError("sigma_e must be positive and finite")
+        for name in ("alpha1", "alpha"):
+            object.__setattr__(self, name,
+                               _checked_real(name, getattr(self, name), level=True))
+        object.__setattr__(self, "sigma_e", _checked_real("sigma_e", self.sigma_e))
+        if self.sigma_e <= 0.0:
+            raise DomainError("sigma_e must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,10 @@ def scaled_carryover(psi: float, design: TrialDesign, sigma_e: float) -> float:
     This single dimensionless parameter is all the coverage probability of
     the two-stage interval depends on.
     """
-    if not (math.isfinite(sigma_e) and sigma_e > 0.0):
-        raise DomainError("sigma_e must be positive and finite")
-    if not math.isfinite(psi):
-        raise DomainError("psi must be finite")
+    sigma_e = _checked_real("sigma_e", sigma_e)
+    if sigma_e <= 0.0:
+        raise DomainError("sigma_e must be positive")
+    psi = _checked_real("psi", psi)
     return carryover_scale(design.m) * psi / sigma_e
 
 

@@ -185,6 +185,11 @@ class TestValidate:
         assert "failures: 0" in stdout
         assert "FAIL" not in stdout
 
+    def test_single_replication_is_usage_error(self, capsys):
+        # The moment gates divide by reps - 1.
+        assert main(["validate", "--reps", "1", "--seed", "3"]) == 2
+        assert "--reps must be at least 2" in capsys.readouterr().err
+
     def test_corrupted_estimator_fails(self, capsys, monkeypatch):
         # Sensitivity check: a wrong coefficient in the pooled estimator
         # must trip the suite.

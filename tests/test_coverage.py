@@ -199,6 +199,8 @@ class TestCoverageCurve:
             coverage_curve(0.1, 0.05, 1.0, 0.0, 10)
         with pytest.raises(DomainError):
             coverage_curve(0.1, 0.05, 0.0, 1.0, 1)
+        with pytest.raises(DomainError):
+            coverage_curve(0.1, 0.05, 0.0, 1.0, 2.5)
 
 
 class TestMinCoverage:
@@ -226,6 +228,18 @@ class TestMinCoverage:
         dense_arg = float(dense[int(np.argmin(dense_vals))])
         assert abs(report.gamma_star - dense_arg) <= 2e-4
         assert report.min_coverage <= min(dense_vals) + 1e-12
+
+    @pytest.mark.parametrize("search", [
+        dict(refine_tol=0.0), dict(refine_tol=-1.0), dict(gamma_max=math.inf),
+        dict(grid_step=0.0), dict(grid_step=math.inf), dict(grid_step=30.0)])
+    def test_search_parameters_validated(self, search):
+        # A refine_tol <= 0 would never end the golden-section loop.
+        with pytest.raises(DomainError):
+            min_coverage(0.1, 0.05, **search)
+
+    def test_tolerance_below_double_resolution_terminates(self):
+        report = min_coverage(0.1, 0.05, refine_tol=1e-300)
+        assert abs(report.min_coverage - MIN_COVERAGE_REF) <= 1e-6
 
     def test_bounded_by_limits(self):
         for alpha1, alpha in ((0.1, 0.05), (0.05, 0.1), (0.2, 0.01)):
@@ -258,6 +272,11 @@ class TestMinCoverageTable:
 
     def test_single_cell_matches_min_coverage(self):
         assert min_coverage_table([0.1], [0.05]) == [min_coverage(0.1, 0.05)]
+
+    def test_numpy_level_arrays(self):
+        # A numpy array has no truth value, so emptiness is tested by length.
+        reports = min_coverage_table(np.array([0.1]), np.array([0.05, 0.1]))
+        assert reports == [min_coverage(0.1, 0.05), min_coverage(0.1, 0.1)]
 
     def test_empty_lists_rejected(self):
         with pytest.raises(DomainError):

@@ -114,6 +114,18 @@ class TestInverseCdf:
         with pytest.raises(DomainError):
             std_normal_inverse_cdf(bad)
 
+    def test_relative_error_in_lower_tail(self):
+        # From the simulator's smallest uniform, 2**-53, down to 1e-300;
+        # the reference root comes from Newton steps on mpmath's cdf.
+        ps = [2.0**-53, 1e-100, 1e-300, *np.logspace(-300.0, math.log10(0.49), 120)]
+        with mp.workdps(40):
+            for p in ps:
+                z = std_normal_inverse_cdf(float(p))
+                exact = mp.mpf(z)
+                for _ in range(3):
+                    exact -= (mp.ncdf(exact) - mp.mpf(p)) / mp.npdf(exact)
+                assert abs(z - exact) <= 1e-14 * abs(exact), p
+
     def test_vectorized_matches_scalar(self):
         p = np.array([0.01, 0.3, 0.5, 0.77, 0.999])
         vec = std_normal_inverse_cdf(p)

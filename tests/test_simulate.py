@@ -291,6 +291,14 @@ class TestConfigValidation:
             SimConfig(design, params, TwoStageConfig(0.1, 0.05, 1.0), 10, 0)
         SimConfig(design, params, TwoStageConfig(0.1, 0.05, 2.0), 10, 0)
 
+    @pytest.mark.parametrize("run", [empirical_coverage, estimator_moments])
+    def test_chunk_size_positive(self, run):
+        # Only None selects automatic chunking; 0 is an error, not a default.
+        config = make_config(replications=50, seed=4)
+        with pytest.raises(DomainError):
+            run(config, chunk_size=0)
+        assert run(config, chunk_size=None) == run(config, chunk_size=50)
+
     def test_replications_positive(self):
         with pytest.raises(DomainError):
             make_config(replications=0)

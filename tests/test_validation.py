@@ -1,0 +1,116 @@
+"""One input contract across every public entry point.
+
+Each scalar argument rejects booleans, strings and NaN with DomainError,
+accepts numpy scalars, and is kept as a plain Python number.
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+
+from crossover_coverage import (
+    CoverageQuery,
+    DomainError,
+    ModelParams,
+    SimConfig,
+    TrialDesign,
+    TwoStageConfig,
+    bvn_cdf,
+    coverage_curve,
+    coverage_probability,
+    efficiency_comparison,
+    empirical_coverage,
+    estimator_moments,
+    min_coverage,
+    min_coverage_table,
+    pooled_cover_prob,
+    pretest_accept_prob,
+    reject_cover_prob,
+    reject_cover_routes,
+    replication_stream,
+    scaled_carryover,
+    std_normal_cdf,
+    std_normal_inverse_cdf,
+    std_normal_pdf,
+    std_normal_quantile,
+)
+
+DESIGN = TrialDesign(2, 2)
+PARAMS = ModelParams()
+CONFIG = SimConfig.create(DESIGN, PARAMS, 0.1, 0.05, 20, 0)
+
+# (name, callable, valid keyword arguments); every argument listed is checked.
+ENTRY_POINTS = [
+    ("CoverageQuery", CoverageQuery, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
+    ("pretest_accept_prob", pretest_accept_prob, dict(gamma=0.5, alpha1=0.1)),
+    ("pooled_cover_prob", pooled_cover_prob, dict(gamma=0.5, alpha=0.05)),
+    ("reject_cover_prob", reject_cover_prob, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
+    ("reject_cover_routes", reject_cover_routes, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
+    ("coverage_curve", coverage_curve,
+     dict(alpha1=0.1, alpha=0.05, gamma_min=0.0, gamma_max=1.0, steps=3)),
+    ("min_coverage", min_coverage,
+     dict(alpha1=0.1, alpha=0.05, gamma_max=1.0, grid_step=0.25, refine_tol=1e-3)),
+    ("min_coverage_table", lambda alpha1, alpha: min_coverage_table([alpha1], [alpha]),
+     dict(alpha1=0.1, alpha=0.05)),
+    ("efficiency_comparison", efficiency_comparison,
+     dict(sigma_s2=1.0, sigma_e2=1.0, n=10)),
+    ("std_normal_pdf", std_normal_pdf, dict(x=0.3)),
+    ("std_normal_cdf", std_normal_cdf, dict(x=0.3)),
+    ("std_normal_inverse_cdf", std_normal_inverse_cdf, dict(p=0.3)),
+    ("std_normal_quantile", std_normal_quantile, dict(a=0.05)),
+    ("bvn_cdf", partial(bvn_cdf, 0.1, 0.2), dict(rho=0.5)),
+    ("TrialDesign", TrialDesign, dict(n1=2, n2=3)),
+    ("ModelParams", ModelParams,
+     dict(grand_mean=0.0, treatment_a=0.7, treatment_b=0.0, carryover_a=0.4,
+          carryover_b=0.0, between_subject_var=1.0, error_var=1.0)),
+    ("ModelParams.period_effects",
+     lambda p4: ModelParams(period_effects=(0.0, 0.0, 0.0, p4)), dict(p4=0.5)),
+    ("ModelParams.from_effects", ModelParams.from_effects,
+     dict(treatment_difference=0.7, differential_carryover=0.3,
+          between_subject_var=1.0, error_var=1.0, grand_mean=0.0)),
+    ("TwoStageConfig", TwoStageConfig, dict(alpha1=0.1, alpha=0.05, sigma_e=1.0)),
+    ("scaled_carryover", partial(scaled_carryover, design=DESIGN),
+     dict(psi=0.3, sigma_e=1.0)),
+    ("SimConfig.create", partial(SimConfig.create, DESIGN, PARAMS),
+     dict(alpha1=0.1, alpha=0.05, replications=10, seed=3)),
+    ("replication_stream", partial(replication_stream, design=DESIGN),
+     dict(seed=3, rep_index=2)),
+    ("empirical_coverage", partial(empirical_coverage, CONFIG), dict(chunk_size=7)),
+    ("estimator_moments", partial(estimator_moments, CONFIG), dict(chunk_size=7)),
+]
+
+ARGUMENTS = [pytest.param(fn, kwargs, arg, id=f"{name}-{arg}")
+             for name, fn, kwargs in ENTRY_POINTS for arg in kwargs]
+
+
+def _numpy_scalar(value):
+    return np.int32(value) if isinstance(value, int) else np.float32(value)
+
+
+@pytest.mark.parametrize("fn,kwargs,arg", ARGUMENTS)
+def test_numpy_scalars_accepted(fn, kwargs, arg):
+    fn(**{**kwargs, arg: _numpy_scalar(kwargs[arg])})
+
+
+@pytest.mark.parametrize("bad", [True, "0.1", math.nan], ids=["bool", "str", "nan"])
+@pytest.mark.parametrize("fn,kwargs,arg", ARGUMENTS)
+def test_bad_scalars_rejected(fn, kwargs, arg, bad):
+    with pytest.raises(DomainError):
+        fn(**{**kwargs, arg: bad})
+
+
+def test_levels_kept_in_double_precision():
+    level = np.float32(0.1)
+    query = CoverageQuery(np.float32(1.25), level, np.float32(0.05))
+    assert all(type(v) is float for v in (query.gamma, query.alpha1, query.alpha))
+    same = CoverageQuery(1.25, float(level), float(np.float32(0.05)))
+    assert coverage_probability(query) == coverage_probability(same)
+    config = SimConfig.create(TrialDesign(np.int64(3), 4), PARAMS, level, 0.05,
+                              np.int64(10), np.uint64(7))
+    assert type(config.two_stage.alpha1) is float
+    assert all(type(v) is int for v in (config.design.n1, config.replications,
+                                        config.seed))
+    report = min_coverage(level, 0.05, gamma_max=1.0, grid_step=0.25)
+    assert type(report.alpha1) is float

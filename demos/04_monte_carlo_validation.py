@@ -7,9 +7,11 @@ moments against their closed forms.
 """
 
 import math
+from dataclasses import fields
 
 from crossover_coverage import (
     CoverageQuery,
+    EstimatorMoments,
     ModelParams,
     SimConfig,
     TrialDesign,
@@ -43,19 +45,9 @@ params = ModelParams.from_effects(0.7, 0.3, between_subject_var=1.0, error_var=1
 config = SimConfig.create(design, params, ALPHA1, ALPHA, 100_000, seed=42)
 sample = estimator_moments(config)
 exact = theoretical_moments(design, params)
-rows = [
-    ("mean of pooled estimator", sample.mean_pooled, exact.mean_pooled),
-    ("mean of robust estimator", sample.mean_robust, exact.mean_robust),
-    ("mean of carryover estimator", sample.mean_carryover, exact.mean_carryover),
-    ("variance of pooled estimator", sample.var_pooled, exact.var_pooled),
-    ("variance of robust estimator", sample.var_robust, exact.var_robust),
-    ("variance of carryover estimator", sample.var_carryover, exact.var_carryover),
-    ("cov(pooled, carryover)", sample.cov_pooled_carryover, exact.cov_pooled_carryover),
-    ("cov(robust, carryover)", sample.cov_robust_carryover, exact.cov_robust_carryover),
-    ("corr(robust, carryover)", sample.corr_robust_carryover, exact.corr_robust_carryover),
-]
-for name, got, want in rows:
-    print(f"  {name:<34} simulated {got:+.5f}   exact {want:+.5f}")
+for field in fields(EstimatorMoments):
+    got, want = getattr(sample, field.name), getattr(exact, field.name)
+    print(f"  {field.name:<22} simulated {got:+.5f}   exact {want:+.5f}")
 print()
 print("the pooled and carryover estimators are uncorrelated, which is what")
 print("lets the accept-branch coverage factorize; the robust and carryover")

@@ -16,7 +16,6 @@ from .coverage import (
     CoverageResult,
     CurvePoint,
     EfficiencyComparison,
-    Method,
     MinCoverageReport,
     coverage_curve,
     coverage_probability,
@@ -45,7 +44,6 @@ from .simulate import (
     EmpiricalCoverage,
     EstimatorMoments,
     SimConfig,
-    TheoreticalMoments,
     empirical_coverage,
     estimator_moments,
     replication_stream,
@@ -81,7 +79,6 @@ __all__ = [
     "EfficiencyComparison",
     "EmpiricalCoverage",
     "EstimatorMoments",
-    "Method",
     "MinCoverageReport",
     "ModelParams",
     "NumericalError",
@@ -90,7 +87,6 @@ __all__ = [
     "RouteDisagreementError",
     "SimConfig",
     "SubjectResponses",
-    "TheoreticalMoments",
     "TrialDesign",
     "TwoStageConfig",
     "TwoStageOutcome",

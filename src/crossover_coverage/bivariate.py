@@ -22,17 +22,25 @@ from .errors import DomainError, _checked_real
 from .normal import _cdf
 
 
+def _checked_rho(rho) -> float:
+    rho = _checked_real("rho", rho)
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError("rho must lie in [-1, 1]")
+    return rho
+
+
 def bvn_cdf(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho.
 
     Accepts infinite bounds; rejects NaN. Degenerate correlations +/-1 are
     handled exactly.
     """
-    rho = _checked_real("rho", rho)
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError("rho must lie in [-1, 1]")
-    if math.isnan(h) or math.isnan(k):
-        raise DomainError("bounds must not be NaN")
+    return _bvn_cdf(_checked_real("h", h, infinite=True),
+                    _checked_real("k", k, infinite=True), _checked_rho(rho))
+
+
+def _bvn_cdf(h: float, k: float, rho: float) -> float:
+    # Unchecked: callers pass float bounds (possibly infinite) and rho in [-1, 1].
     if h == -math.inf or k == -math.inf:
         return 0.0
     if h == math.inf:
@@ -63,9 +71,17 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
 
 def bvn_rectangle(x_lo: float, x_hi: float, y_lo: float, y_hi: float,
                   rho: float) -> float:
-    """P(x_lo <= X <= x_hi, y_lo <= Y <= y_hi) for the same distribution."""
+    """P(x_lo <= X <= x_hi, y_lo <= Y <= y_hi) for the same distribution.
+
+    Accepts infinite bounds; rejects NaN and unordered bounds.
+    """
+    x_lo = _checked_real("x_lo", x_lo, infinite=True)
+    x_hi = _checked_real("x_hi", x_hi, infinite=True)
+    y_lo = _checked_real("y_lo", y_lo, infinite=True)
+    y_hi = _checked_real("y_hi", y_hi, infinite=True)
+    rho = _checked_rho(rho)
     if not (x_lo <= x_hi and y_lo <= y_hi):
         raise DomainError("rectangle bounds must be ordered")
-    value = (bvn_cdf(x_hi, y_hi, rho) - bvn_cdf(x_lo, y_hi, rho)
-             - bvn_cdf(x_hi, y_lo, rho) + bvn_cdf(x_lo, y_lo, rho))
+    value = (_bvn_cdf(x_hi, y_hi, rho) - _bvn_cdf(x_lo, y_hi, rho)
+             - _bvn_cdf(x_hi, y_lo, rho) + _bvn_cdf(x_lo, y_lo, rho))
     return min(1.0, max(0.0, value))

@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -35,7 +36,13 @@ from .coverage import (
     reject_cover_routes,
 )
 from .errors import DomainError, NumericalError, _checked_int
-from .simulate import SimConfig, empirical_coverage, estimator_moments, theoretical_moments
+from .simulate import (
+    EstimatorMoments,
+    SimConfig,
+    empirical_coverage,
+    estimator_moments,
+    theoretical_moments,
+)
 from .trial import ModelParams, TrialDesign, scaled_carryover
 
 _Z_GATE = 3.5  # |z| gate for analytic-vs-empirical checks (~0.05% false alarms)
@@ -207,33 +214,27 @@ def cmd_validate(args) -> int:
                                   mom_reps, args.seed)
     sample = estimator_moments(mom_config)
     exact = theoretical_moments(mom_design, mom_params)
-    # Standard errors scale with 1/sqrt(reps), so smoke runs with few
-    # replications get correspondingly wide gates automatically.
+    # The standard error of each sample moment, field by field. They scale
+    # with 1/sqrt(reps), so smoke runs with few replications get
+    # correspondingly wide gates automatically.
     rho = exact.corr_robust_carryover
-    for name, got, want, se in [
-        ("mean_pooled", sample.mean_pooled, exact.mean_pooled,
-         math.sqrt(exact.var_pooled / mom_reps)),
-        ("mean_robust", sample.mean_robust, exact.mean_robust,
-         math.sqrt(exact.var_robust / mom_reps)),
-        ("mean_carryover", sample.mean_carryover, exact.mean_carryover,
-         math.sqrt(exact.var_carryover / mom_reps)),
-        ("cov_pooled_carryover", sample.cov_pooled_carryover,
-         exact.cov_pooled_carryover,
-         math.sqrt(exact.var_pooled * exact.var_carryover / mom_reps)),
-        ("var_pooled", sample.var_pooled, exact.var_pooled,
-         exact.var_pooled * math.sqrt(2.0 / (mom_reps - 1))),
-        ("var_robust", sample.var_robust, exact.var_robust,
-         exact.var_robust * math.sqrt(2.0 / (mom_reps - 1))),
-        ("var_carryover", sample.var_carryover, exact.var_carryover,
-         exact.var_carryover * math.sqrt(2.0 / (mom_reps - 1))),
-        ("cov_robust_carryover", sample.cov_robust_carryover,
-         exact.cov_robust_carryover,
-         math.sqrt((1.0 + rho * rho) * exact.var_robust
-                   * exact.var_carryover / mom_reps)),
-        ("corr_robust_carryover", sample.corr_robust_carryover,
-         exact.corr_robust_carryover,
-         (1.0 - rho * rho) / math.sqrt(mom_reps)),
-    ]:
+    var_rel_se = math.sqrt(2.0 / (mom_reps - 1))
+    std_err = EstimatorMoments(
+        mean_pooled=math.sqrt(exact.var_pooled / mom_reps),
+        mean_robust=math.sqrt(exact.var_robust / mom_reps),
+        mean_carryover=math.sqrt(exact.var_carryover / mom_reps),
+        var_pooled=exact.var_pooled * var_rel_se,
+        var_robust=exact.var_robust * var_rel_se,
+        var_carryover=exact.var_carryover * var_rel_se,
+        cov_pooled_carryover=math.sqrt(exact.var_pooled * exact.var_carryover
+                                       / mom_reps),
+        cov_robust_carryover=math.sqrt((1.0 + rho * rho) * exact.var_robust
+                                       * exact.var_carryover / mom_reps),
+        corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(mom_reps),
+    )
+    for field in fields(EstimatorMoments):
+        name = field.name
+        got, want, se = (getattr(m, name) for m in (sample, exact, std_err))
         z = (got - want) / se
         _check(f"moments {name}", abs(z) <= 4.0,
                f"observed {got:.6f} expected {want:.6f} z {z:+.2f} (gate 4)",

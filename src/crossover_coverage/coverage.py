@@ -22,13 +22,13 @@ Disagreement beyond tolerance raises instead of returning a bad number.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from .bivariate import bvn_rectangle
 from .errors import (
@@ -36,16 +36,15 @@ from .errors import (
     QuadratureError,
     RouteDisagreementError,
     _checked_int,
+    _checked_items,
     _checked_real,
 )
 from .normal import _cdf, _pdf, std_normal_quantile
 
 #: Correlation between the robust-branch pivot and the pretest statistic.
-PIVOT_PRETEST_CORR = 3.0 / math.sqrt(11.0)
-
 #: Given the robust pivot g, the pretest statistic has mean
-#: gamma + _COND_SLOPE * g and variance 2/11.
-_COND_SLOPE = 3.0 / math.sqrt(11.0)
+#: gamma + PIVOT_PRETEST_CORR * g and variance 2/11.
+PIVOT_PRETEST_CORR = 3.0 / math.sqrt(11.0)
 _INV_COND_SD = math.sqrt(11.0 / 2.0)
 
 #: Mean shift of the pooled-branch pivot per unit of gamma.
@@ -59,6 +58,11 @@ _QUAD_REQUEST = 1e-12
 ROUTE_AGREEMENT_TOL = 5e-9
 
 _EPS = float(np.finfo(float).eps)
+
+#: The minimum search's grid (upper end and step) and refinement tolerance.
+_SEARCH_GAMMA_MAX = 20.0
+_SEARCH_GRID_STEP = 0.01
+_SEARCH_XATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,23 +80,15 @@ class CoverageQuery:
                                _checked_real(name, getattr(self, name), level=True))
 
 
-class Method(enum.Enum):
-    """How a coverage value was obtained."""
-
-    CONDITIONAL_QUADRATURE = "conditional_quadrature"
-    MONTE_CARLO = "monte_carlo"
-
-
 @dataclass(frozen=True)
 class CoverageResult:
-    """A coverage probability with its provenance and error bound.
+    """A coverage probability with its error bound.
 
     ``err_bound`` is a heuristic (quadrature error estimate plus ulp-level
     slack per distribution-function call), not a rigorous enclosure.
     """
 
     value: float
-    method: Method
     err_bound: float
 
     def __post_init__(self):
@@ -172,7 +168,7 @@ def _reject_cover_routes(gamma: float, alpha: float, c1: float,
     # pretest statistic on the pivot: mean gamma + 3 g / sqrt(11),
     # variance 2/11.
     def integrand(g: float) -> float:
-        mu = gamma + _COND_SLOPE * g
+        mu = gamma + PIVOT_PRETEST_CORR * g
         inside = (_cdf((c1 - mu) * _INV_COND_SD)
                   - _cdf((-c1 - mu) * _INV_COND_SD))
         return inside * _pdf(g)
@@ -237,8 +233,7 @@ def coverage_probability(query: CoverageQuery) -> CoverageResult:
     c1 = std_normal_quantile(query.alpha1)
     c = std_normal_quantile(query.alpha)
     value, err_bound = _coverage_value(query.gamma, query.alpha, c1, c)
-    return CoverageResult(value=value, method=Method.CONDITIONAL_QUADRATURE,
-                          err_bound=err_bound)
+    return CoverageResult(value=value, err_bound=err_bound)
 
 
 def coverage_curve(alpha1: float, alpha: float, gamma_min: float,
@@ -258,67 +253,34 @@ def coverage_curve(alpha1: float, alpha: float, gamma_min: float,
             for g in grid]
 
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float) -> tuple[float, float]:
-    """Minimize a locally unimodal f on [lo, hi]; returns best point seen."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    # The second test ends the loop once doubles cannot split the bracket.
-    while b - a > tol and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    mid = 0.5 * (a + b)
-    fmid = f(mid)
-    if fmid < best_f:
-        best_x, best_f = mid, fmid
-    return best_x, best_f
-
-
-def min_coverage(alpha1: float, alpha: float, *, gamma_max: float = 20.0,
-                 grid_step: float = 0.01, refine_tol: float = 1e-6) -> MinCoverageReport:
+def min_coverage(alpha1: float, alpha: float) -> MinCoverageReport:
     """Minimum coverage probability over gamma, with its location.
 
     Coverage is symmetric in gamma, so only the nonnegative half-line is
-    searched: a coarse grid (to guard against multiple local minima)
-    followed by golden-section refinement inside the bracketing cell.
-    Beyond gamma_max = 20 both gamma-dependent terms are indistinguishable
-    from their limits, so nothing can hide out there.
+    searched: a grid of step 0.01 on [0, 20] (to guard against multiple
+    local minima), then scipy's bounded Brent minimizer inside the cell
+    around the best grid point, to 1e-6 in gamma. The best grid value is
+    kept if the refinement does not beat it. Beyond gamma = 20 both
+    gamma-dependent terms are indistinguishable from their limits, so
+    nothing can hide out there.
     """
     alpha1 = _checked_real("alpha1", alpha1, level=True)
     alpha = _checked_real("alpha", alpha, level=True)
-    gamma_max = _checked_real("gamma_max", gamma_max)
-    grid_step = _checked_real("grid_step", grid_step)
-    refine_tol = _checked_real("refine_tol", refine_tol)
-    if not (grid_step > 0.0 and gamma_max > grid_step):
-        raise DomainError("need 0 < grid_step < gamma_max")
-    if refine_tol <= 0.0:
-        raise DomainError("refine_tol must be positive")
     c1 = std_normal_quantile(alpha1)
     c = std_normal_quantile(alpha)
 
     def f(g: float) -> float:
         return _coverage_value(g, alpha, c1, c)[0]
 
-    grid = np.arange(0.0, gamma_max + 0.5 * grid_step, grid_step)
+    grid = np.arange(0.0, _SEARCH_GAMMA_MAX + 0.5 * _SEARCH_GRID_STEP,
+                     _SEARCH_GRID_STEP)
     values = [f(float(g)) for g in grid]
     i = int(np.argmin(values))
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    gamma_star, minimum = _golden_section(f, lo, hi, refine_tol)
+    refined = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": _SEARCH_XATOL})
+    gamma_star, minimum = float(refined.x), float(refined.fun)
     if values[i] < minimum:
         gamma_star, minimum = float(grid[i]), values[i]
     return MinCoverageReport(gamma_star=gamma_star, min_coverage=minimum,
@@ -328,8 +290,8 @@ def min_coverage(alpha1: float, alpha: float, *, gamma_max: float = 20.0,
 def min_coverage_table(alpha1_list: Sequence[float],
                        alpha_list: Sequence[float]) -> list[MinCoverageReport]:
     """Cartesian product of min_coverage over the two level lists."""
-    if len(alpha1_list) == 0 or len(alpha_list) == 0:
-        raise DomainError("level lists must be nonempty")
+    alpha1_list = _checked_items("alpha1_list", alpha1_list)
+    alpha_list = _checked_items("alpha_list", alpha_list)
     return [min_coverage(a1, a)
             for a1 in alpha1_list for a in alpha_list]
 

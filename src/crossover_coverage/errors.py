@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its scalar input checks.
+"""Exception types shared across the package, and its input checks.
 
-The checks reject booleans and strings, and return a plain ``int`` or
-``float`` that callers keep: under numpy 2's promotion rules an
+The scalar checks reject booleans and strings, and return a plain ``int``
+or ``float`` that callers keep: under numpy 2's promotion rules an
 ``np.float32`` level would otherwise run the engine in single precision.
+A sequence argument is read into a tuple, so a scalar in its place raises
+``DomainError`` rather than ``TypeError``.
 """
 
 import math
@@ -50,15 +52,34 @@ def _checked_int(name: str, value, minimum: int, below: int | None = None) -> in
     return value
 
 
-def _checked_real(name: str, value, *, level: bool = False) -> float:
-    """``value`` as a finite float; with ``level``, strictly inside (0, 1)."""
-    # A plain float skips the slow ABC check: bvn_cdf runs this on every call.
+def _checked_real(name: str, value, *, level: bool = False,
+                  infinite: bool = False) -> float:
+    """``value`` as a finite float; with ``level``, strictly inside (0, 1).
+
+    With ``infinite``, +/-inf are admitted too; NaN never is.
+    """
+    # A plain float skips the slow ABC check: bvn_rectangle runs this on
+    # every coverage evaluation.
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise DomainError(f"{name} must be a real number, got {value!r}")
         value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+    if math.isnan(value) or (not infinite and math.isinf(value)):
+        raise DomainError(f"{name} must be {'a number' if infinite else 'finite'}, "
+                          f"got {value!r}")
     if level and not 0.0 < value < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
     return value
+
+
+def _checked_items(name: str, value, length: int | None = None) -> tuple:
+    """The items of ``value`` as a tuple: exactly ``length`` of them, or at least one."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {value!r}") from None
+    if length is None and not items:
+        raise DomainError(f"{name} must be nonempty")
+    if length is not None and len(items) != length:
+        raise DomainError(f"{name} must have exactly {length} entries, got {len(items)}")
+    return items

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageResult, Method, PIVOT_PRETEST_CORR
+from .coverage import PIVOT_PRETEST_CORR
 from .errors import DomainError, _checked_int
 from .normal import std_normal_inverse_cdf, std_normal_quantile
 from .trial import (
@@ -93,30 +93,14 @@ class EmpiricalCoverage:
             return 0.0 if self.estimate == expected else math.inf
         return (self.estimate - expected) / self.std_err
 
-    def to_coverage_result(self) -> CoverageResult:
-        return CoverageResult(value=self.estimate, method=Method.MONTE_CARLO,
-                              err_bound=self.std_err)
-
 
 @dataclass(frozen=True)
 class EstimatorMoments:
-    """Sample moments of the three estimators across replications."""
+    """Means, variances and covariances of the three estimators.
 
-    replications: int
-    mean_pooled: float
-    mean_robust: float
-    mean_carryover: float
-    var_pooled: float
-    var_robust: float
-    var_carryover: float
-    cov_pooled_carryover: float
-    cov_robust_carryover: float
-    corr_robust_carryover: float
-
-
-@dataclass(frozen=True)
-class TheoreticalMoments:
-    """Closed-form counterparts of EstimatorMoments."""
+    ``estimator_moments`` returns the sample moments of a simulation run,
+    ``theoretical_moments`` their exact values.
+    """
 
     mean_pooled: float
     mean_robust: float
@@ -129,17 +113,18 @@ class TheoreticalMoments:
     corr_robust_carryover: float
 
 
-def theoretical_moments(design: TrialDesign, params: ModelParams) -> TheoreticalMoments:
+def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMoments:
     """Exact means, variances and covariances of the three estimators.
 
-    None of them involve the between-subject variance: the estimator
+    The counterpart of what ``estimator_moments`` samples, in the same
+    type. None of them involve the between-subject variance: the estimator
     coefficient vectors annihilate the common subject-average offset.
     """
     m = design.m
     theta = params.treatment_difference
     psi = params.differential_carryover
     noise = m * params.error_var
-    return TheoreticalMoments(
+    return EstimatorMoments(
         mean_pooled=theta - psi,
         mean_robust=theta,
         mean_carryover=psi,
@@ -304,8 +289,10 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
 def estimator_moments(config: SimConfig, *, chunk_size: int | None = None) -> EstimatorMoments:
     """Sample moments of the three estimators over a simulation run.
 
-    Moments are computed once over the assembled per-replication values,
-    so they too are independent of chunk_size.
+    Variances and covariances use the n - 1 divisor (n when the run has a
+    single replication). Moments are computed once over the assembled
+    per-replication values, so they too are independent of chunk_size;
+    ``theoretical_moments`` gives their exact counterparts.
     """
     parts = [_batch_estimates(config, start, count)
              for start, count in _chunk_bounds(config, chunk_size)]
@@ -319,7 +306,6 @@ def estimator_moments(config: SimConfig, *, chunk_size: int | None = None) -> Es
     var_c = float(np.var(carry, ddof=ddof))
     corr = cov_rc / math.sqrt(var_r * var_c) if var_r > 0.0 and var_c > 0.0 else math.nan
     return EstimatorMoments(
-        replications=config.replications,
         mean_pooled=float(np.mean(pooled)),
         mean_robust=float(np.mean(robust)),
         mean_carryover=float(np.mean(carry)),

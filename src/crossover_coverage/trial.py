@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _checked_int, _checked_real
-from .normal import std_normal_quantile
+from .errors import DomainError, _checked_int, _checked_items, _checked_real
+from .normal import _as_float_array, std_normal_quantile
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,9 @@ class ModelParams:
     error_var: float = 1.0
 
     def __post_init__(self):
-        if len(self.period_effects) != 4:
-            raise DomainError("period_effects must have exactly 4 entries")
         object.__setattr__(self, "period_effects", tuple(
-            _checked_real("period_effects", v) for v in self.period_effects))
+            _checked_real("period_effects", v)
+            for v in _checked_items("period_effects", self.period_effects, 4)))
         for name in ("grand_mean", "treatment_a", "treatment_b", "carryover_a",
                      "carryover_b", "between_subject_var", "error_var"):
             object.__setattr__(self, name, _checked_real(name, getattr(self, name)))
@@ -96,7 +95,7 @@ class ModelParams:
                                                differential_carryover)
         return cls(
             grand_mean=grand_mean,
-            period_effects=tuple(period_effects),
+            period_effects=period_effects,
             treatment_a=treatment_difference,
             treatment_b=0.0,
             carryover_a=differential_carryover / 0.75,
@@ -115,7 +114,7 @@ class SubjectResponses:
 
     def __post_init__(self):
         for name, y in (("group1", self.group1), ("group2", self.group2)):
-            arr = np.asarray(y, dtype=float)
+            arr, _ = _as_float_array(y, name)
             if arr.ndim != 2 or arr.shape[1] != 4:
                 raise DomainError(f"{name} must have shape (n, 4), got {arr.shape}")
             if not np.isfinite(arr).all():

@@ -9,7 +9,6 @@ from crossover_coverage import (
     PIVOT_PRETEST_CORR,
     CoverageQuery,
     DomainError,
-    Method,
     ModelParams,
     TrialDesign,
     coverage_curve,
@@ -130,7 +129,6 @@ class TestCoverageProbability:
         for gamma, ref in COVERAGE_REFS.items():
             result = coverage_probability(CoverageQuery(gamma, 0.1, 0.05))
             assert abs(result.value - ref) <= 1e-9
-            assert result.method is Method.CONDITIONAL_QUADRATURE
             assert result.err_bound <= 1e-8
 
     def test_composition_of_parts(self):
@@ -229,18 +227,6 @@ class TestMinCoverage:
         assert abs(report.gamma_star - dense_arg) <= 2e-4
         assert report.min_coverage <= min(dense_vals) + 1e-12
 
-    @pytest.mark.parametrize("search", [
-        dict(refine_tol=0.0), dict(refine_tol=-1.0), dict(gamma_max=math.inf),
-        dict(grid_step=0.0), dict(grid_step=math.inf), dict(grid_step=30.0)])
-    def test_search_parameters_validated(self, search):
-        # A refine_tol <= 0 would never end the golden-section loop.
-        with pytest.raises(DomainError):
-            min_coverage(0.1, 0.05, **search)
-
-    def test_tolerance_below_double_resolution_terminates(self):
-        report = min_coverage(0.1, 0.05, refine_tol=1e-300)
-        assert abs(report.min_coverage - MIN_COVERAGE_REF) <= 1e-6
-
     def test_bounded_by_limits(self):
         for alpha1, alpha in ((0.1, 0.05), (0.05, 0.1), (0.2, 0.01)):
             report = min_coverage(alpha1, alpha)
@@ -274,13 +260,19 @@ class TestMinCoverageTable:
         assert min_coverage_table([0.1], [0.05]) == [min_coverage(0.1, 0.05)]
 
     def test_numpy_level_arrays(self):
-        # A numpy array has no truth value, so emptiness is tested by length.
+        # A numpy array has no truth value; the lists are read as tuples first.
         reports = min_coverage_table(np.array([0.1]), np.array([0.05, 0.1]))
         assert reports == [min_coverage(0.1, 0.05), min_coverage(0.1, 0.1)]
 
     def test_empty_lists_rejected(self):
         with pytest.raises(DomainError):
             min_coverage_table([], [0.05])
+
+    def test_non_sequence_lists_rejected(self):
+        with pytest.raises(DomainError):
+            min_coverage_table(0.1, [0.05])
+        with pytest.raises(DomainError):
+            min_coverage_table([0.1], 0.05)
 
 
 class TestEfficiencyComparison:

@@ -8,7 +8,6 @@ import pytest
 from crossover_coverage import (
     CoverageQuery,
     DomainError,
-    Method,
     ModelParams,
     SimConfig,
     TrialDesign,
@@ -194,13 +193,6 @@ class TestEmpiricalCoverage:
         emp_b = empirical_coverage(config_b)
         gap = abs(emp_a.estimate - emp_b.estimate)
         assert gap <= 5.0 * math.hypot(emp_a.std_err, emp_b.std_err)
-
-    def test_to_coverage_result(self):
-        emp = empirical_coverage(make_config(replications=1000, seed=17))
-        result = emp.to_coverage_result()
-        assert result.method is Method.MONTE_CARLO
-        assert result.value == emp.estimate
-        assert result.err_bound == emp.std_err
 
 
 class TestNuisanceInvariance:

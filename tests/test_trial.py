@@ -53,12 +53,24 @@ class TestTypes:
             ModelParams(grand_mean=math.nan)
         with pytest.raises(DomainError):
             ModelParams(period_effects=(1.0, 2.0))
+        with pytest.raises(DomainError):
+            ModelParams(period_effects=True)
+        with pytest.raises(DomainError):
+            ModelParams.from_effects(0, 0, period_effects=3)
 
     def test_responses_validation(self):
         with pytest.raises(DomainError):
             SubjectResponses(np.zeros((3, 3)), np.zeros((3, 4)))
         with pytest.raises(DomainError):
             SubjectResponses(np.full((2, 4), math.inf), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 4), dtype=bool), [["1", "2", "3", "4"]]],
+                             ids=["bool", "str"])
+    def test_responses_reject_non_numeric_dtypes(self, bad):
+        with pytest.raises(DomainError):
+            SubjectResponses(bad, np.zeros((3, 4)))
+        with pytest.raises(DomainError):
+            SubjectResponses(np.zeros((3, 4)), bad)
 
 
 class TestReduce:

@@ -18,6 +18,7 @@ from crossover_coverage import (
     TrialDesign,
     TwoStageConfig,
     bvn_cdf,
+    bvn_rectangle,
     coverage_curve,
     coverage_probability,
     efficiency_comparison,
@@ -51,7 +52,7 @@ ENTRY_POINTS = [
     ("coverage_curve", coverage_curve,
      dict(alpha1=0.1, alpha=0.05, gamma_min=0.0, gamma_max=1.0, steps=3)),
     ("min_coverage", min_coverage,
-     dict(alpha1=0.1, alpha=0.05, gamma_max=1.0, grid_step=0.25, refine_tol=1e-3)),
+     dict(alpha1=0.1, alpha=0.05)),
     ("min_coverage_table", lambda alpha1, alpha: min_coverage_table([alpha1], [alpha]),
      dict(alpha1=0.1, alpha=0.05)),
     ("efficiency_comparison", efficiency_comparison,
@@ -60,7 +61,9 @@ ENTRY_POINTS = [
     ("std_normal_cdf", std_normal_cdf, dict(x=0.3)),
     ("std_normal_inverse_cdf", std_normal_inverse_cdf, dict(p=0.3)),
     ("std_normal_quantile", std_normal_quantile, dict(a=0.05)),
-    ("bvn_cdf", partial(bvn_cdf, 0.1, 0.2), dict(rho=0.5)),
+    ("bvn_cdf", bvn_cdf, dict(h=0.1, k=0.2, rho=0.5)),
+    ("bvn_rectangle", bvn_rectangle,
+     dict(x_lo=-1.0, x_hi=1.0, y_lo=0.0, y_hi=1.0, rho=0.5)),
     ("TrialDesign", TrialDesign, dict(n1=2, n2=3)),
     ("ModelParams", ModelParams,
      dict(grand_mean=0.0, treatment_a=0.7, treatment_b=0.0, carryover_a=0.4,
@@ -112,5 +115,5 @@ def test_levels_kept_in_double_precision():
     assert type(config.two_stage.alpha1) is float
     assert all(type(v) is int for v in (config.design.n1, config.replications,
                                         config.seed))
-    report = min_coverage(level, 0.05, gamma_max=1.0, grid_step=0.25)
+    report = min_coverage(level, 0.05)
     assert type(report.alpha1) is float

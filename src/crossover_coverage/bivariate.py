@@ -10,16 +10,18 @@ delta = 1/2 when the quadrant correction applies. T itself comes from
 scipy.special.owens_t, accurate to near machine precision, so rectangle
 probabilities built here are trustworthy to ~1e-14 and serve as the
 independent cross-check for the quadrature route in the coverage module.
+Its coverage grids use an array form that holds h fixed and varies k.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import owens_t
 
 from .errors import DomainError, _checked_real
-from .normal import _cdf
+from .normal import _cdf, _cdf_array
 
 
 def _checked_rho(rho) -> float:
@@ -67,6 +69,25 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
     delta = 0.5 if (h * k < 0.0 or (h * k == 0.0 and h + k < 0.0)) else 0.0
     value = 0.5 * (_cdf(h) + _cdf(k)) - t_h - t_k - delta
     return min(1.0, max(0.0, value))
+
+
+def _bvn_cdf_array(h: float, k: np.ndarray, rho: float) -> np.ndarray:
+    """_bvn_cdf at one finite nonzero h and every entry of an array of finite k.
+
+    Unchecked, for -1 < rho < 1: the same reduction term by term, so each
+    entry matches the scalar function up to the erfc backend's last ulp.
+    """
+    denom = math.sqrt(1.0 - rho * rho)
+    t_h = owens_t(h, (k - rho * h) / (h * denom))
+    k_zero = k == 0.0
+    # A stand-in k keeps the unused branch of np.where free of 0/0.
+    k_safe = np.where(k_zero, 1.0, k)
+    t_k = np.where(k_zero, 0.25 if h > 0.0 else -0.25,
+                   owens_t(k_safe, (h - rho * k_safe) / (k_safe * denom)))
+    hk = h * k
+    delta = np.where((hk < 0.0) | ((hk == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    value = 0.5 * (_cdf(h) + _cdf_array(k)) - t_h - t_k - delta
+    return np.clip(value, 0.0, 1.0)
 
 
 def bvn_rectangle(x_lo: float, x_hi: float, y_lo: float, y_hi: float,

@@ -28,6 +28,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .coverage import (
+    ROUTE_AGREEMENT_TOL,
     CoverageQuery,
     coverage_curve,
     coverage_probability,
@@ -184,9 +185,9 @@ def cmd_validate(args) -> int:
             for a in levels:
                 via_bvn, via_quad, _ = reject_cover_routes(g, a1, a)
                 max_gap = max(max_gap, abs(via_bvn - via_quad))
-    _check("route agreement", max_gap <= 1e-8,
+    _check("route agreement", max_gap <= ROUTE_AGREEMENT_TOL,
            f"max gap {max_gap:.3e} over {len(gammas) * len(levels1) * len(levels)} "
-           f"triples (tol 1e-08)", failures)
+           f"triples (tol {ROUTE_AGREEMENT_TOL:.0e})", failures)
 
     # (b) empirical coverage against the analytic engine.
     design = TrialDesign(2, 2)

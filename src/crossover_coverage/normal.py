@@ -64,7 +64,7 @@ def std_normal_cdf(x):
     arr, scalar = _as_float_array(x, "x")
     if np.isnan(arr).any():
         raise DomainError("x must not contain NaN")
-    out = 0.5 * special.erfc(-arr * INV_SQRT_2)
+    out = _cdf_array(arr)
     return float(out) if scalar else out
 
 
@@ -122,6 +122,11 @@ def std_normal_quantile(a):
 def _cdf(x):
     # Scalar fast path for quadrature loops; same erfc formula, unvalidated.
     return 0.5 * math.erfc(-x * INV_SQRT_2)
+
+
+def _cdf_array(x):
+    # Array form of _cdf for the coverage grids: scipy's erfc, unvalidated.
+    return 0.5 * special.erfc(-x * INV_SQRT_2)
 
 
 def _pdf(x):

@@ -7,6 +7,8 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from crossover_coverage import DomainError, bvn_cdf, bvn_rectangle, std_normal_cdf
+from crossover_coverage.bivariate import _bvn_cdf, _bvn_cdf_array
+from crossover_coverage.coverage import PIVOT_PRETEST_CORR
 
 # (h, k, rho) -> value computed by 25-digit two-dimensional quadrature.
 HIGH_PRECISION_CASES = [
@@ -102,3 +104,18 @@ class TestBvnRectangle:
     def test_rejects_unordered_bounds(self):
         with pytest.raises(DomainError):
             bvn_rectangle(1.0, -1.0, 0.0, 1.0, 0.5)
+
+
+class TestBvnCdfArray:
+    # k = 0 takes the T(0, +/-inf) branch; +/-1e-300 sit just beside it.
+    KS = [0.0, 1e-300, -1e-300, 0.3, -0.3, 40.0, -40.0]
+
+    def test_matches_scalar_cdf(self):
+        # Tolerance allows the one-ulp gap between the scalar and
+        # vectorized erfc backends.
+        ks = np.array(self.KS)
+        for h in (1.959963984540054, -1.959963984540054, 0.4, -2.7):
+            for rho in (PIVOT_PRETEST_CORR, -0.6, 0.0):
+                values = _bvn_cdf_array(h, ks, rho)
+                for k, value in zip(self.KS, values):
+                    assert abs(value - _bvn_cdf(h, k, rho)) <= 5e-16, (h, k, rho)

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from crossover_coverage import coverage as coverage_module
 from crossover_coverage import (
     PIVOT_PRETEST_CORR,
     CoverageQuery,
     DomainError,
     ModelParams,
+    QuadratureError,
+    RouteDisagreementError,
     TrialDesign,
     coverage_curve,
     coverage_probability,
@@ -199,6 +202,76 @@ class TestCoverageCurve:
             coverage_curve(0.1, 0.05, 0.0, 1.0, 1)
         with pytest.raises(DomainError):
             coverage_curve(0.1, 0.05, 0.0, 1.0, 2.5)
+
+    def test_span_that_overflows_is_rejected(self):
+        # linspace would return [nan, inf, 1e308] here.
+        with pytest.raises(DomainError, match=r"gamma range \[-1e\+308, 1e\+308\]"):
+            coverage_curve(0.1, 0.05, -1e308, 1e308, 3)
+
+
+def scalar_coverage(gamma, alpha1, alpha):
+    return coverage_probability(CoverageQuery(gamma, alpha1, alpha)).value
+
+
+class TestCoverageGrid:
+    """The array path of curves and searches against the scalar queries."""
+
+    LEVELS = [(0.1, 0.05), (0.01, 0.1), (0.2, 0.01), (0.05, 0.05)]
+
+    def test_curve_matches_scalar_queries(self):
+        for alpha1, alpha in self.LEVELS:
+            c1 = std_normal_quantile(alpha1)
+            # The first grid holds -c1, 0 and c1 exactly, where the Owen's T
+            # rectangles meet k = 0.
+            near = coverage_curve(alpha1, alpha, -c1, c1, 9)
+            assert {-c1, 0.0, c1} <= {p.gamma for p in near}
+            for p in near + coverage_curve(alpha1, alpha, -8.0, 8.0, 33):
+                assert abs(p.coverage - scalar_coverage(p.gamma, alpha1, alpha)) <= 1e-13
+
+    @pytest.mark.filterwarnings("error")
+    def test_curve_near_the_largest_floats(self):
+        for points in (coverage_curve(0.1, 0.05, 1e308, 1.7e308, 3),
+                       coverage_curve(0.1, 0.05, -1.7e308, -1e308, 3)):
+            for p in points:
+                assert p.coverage == scalar_coverage(p.gamma, 0.1, 0.05) == 0.95
+
+    def test_curve_across_block_boundary(self):
+        steps = coverage_module._GRID_BLOCK + 5
+        points = coverage_curve(0.1, 0.05, -8.0, 8.0, steps)
+        assert len(points) == steps
+        worst = max(abs(p.coverage - scalar_coverage(p.gamma, 0.1, 0.05))
+                    for p in points)
+        assert worst <= 1e-13
+
+    def test_route_gate_applies_at_every_point(self, monkeypatch):
+        monkeypatch.setattr(coverage_module, "ROUTE_AGREEMENT_TOL", 0.0)
+        with pytest.raises(RouteDisagreementError):
+            coverage_curve(0.1, 0.05, -8.0, 8.0, 801)
+        with pytest.raises(RouteDisagreementError):
+            min_coverage(0.1, 0.05)
+
+    def test_quadrature_gate(self, monkeypatch):
+        monkeypatch.setattr(coverage_module, "QUAD_ABS_TOL", 0.0)
+        with pytest.raises(QuadratureError):
+            coverage_curve(0.1, 0.05, -8.0, 8.0, 801)
+        with pytest.raises(QuadratureError):
+            min_coverage(0.1, 0.05)
+
+    @pytest.mark.parametrize("bad", [1e-6, math.nan])
+    def test_route_gap_names_the_worst_gamma(self, monkeypatch, bad):
+        # A disagreement (or a NaN, which fails every comparison) at one
+        # grid point must raise and name that point's gamma.
+        quad_vec = coverage_module.quad_vec
+
+        def off_at_one_point(*args, **kwargs):
+            integral, err = quad_vec(*args, **kwargs)
+            integral[5] += bad
+            return integral, err
+
+        monkeypatch.setattr(coverage_module, "quad_vec", off_at_one_point)
+        gamma = float(np.linspace(-8.0, 8.0, 41)[5])
+        with pytest.raises(RouteDisagreementError, match=f"at gamma={gamma!r},"):
+            coverage_curve(0.1, 0.05, -8.0, 8.0, 41)
 
 
 class TestMinCoverage:

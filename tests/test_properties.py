@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from crossover_coverage import (
     CoverageQuery,
+    coverage_curve,
     coverage_probability,
     min_coverage,
     reject_cover_routes,
@@ -47,6 +48,17 @@ def test_coverage_is_a_probability_symmetric_in_gamma(gamma, alpha1, alpha):
 def test_routes_agree(gamma, alpha1, alpha):
     via_bvn, via_quad, _ = reject_cover_routes(gamma, alpha1, alpha)
     assert abs(via_bvn - via_quad) <= ROUTE_AGREEMENT_TOL
+
+
+@examples
+@given(gamma=gammas, alpha1=levels, alpha=levels)
+def test_curve_matches_scalar_queries(gamma, alpha1, alpha):
+    # The curve's array path against the scalar path, at the drawn gamma
+    # (the grid's first point) and two more.
+    points = coverage_curve(alpha1, alpha, gamma, gamma + 1.0, 3)
+    assert points[0].gamma == gamma
+    for p in points:
+        assert abs(p.coverage - coverage(p.gamma, alpha1, alpha)) <= 1e-12
 
 
 @examples

@@ -19,13 +19,12 @@ rectangle assembled from Owen's T (verification route) and an adaptive
 Gauss-Kronrod quadrature of the conditional form (authoritative route).
 Disagreement beyond tolerance raises instead of returning a bad number.
 
-A single query runs both routes on scalars, with QUADPACK's ``quad``. A
-gamma grid (a curve, or the minimum search's scan) is evaluated as arrays,
-in blocks of at most ``_GRID_BLOCK`` points: one ``quad_vec`` integrates
-the whole block's vector of conditional accept probabilities, the Owen's T
-rectangles are vectorized over gamma, and the two routes are still
-compared at every point. Pushing one point through ``quad_vec`` costs
-more than ``quad``, so single queries and the Brent refinement stay scalar.
+One body, ``_routes``, holds both routes, both gates and the coverage, at
+a float gamma or a gamma array; only its primitives differ. A single query
+(or Brent step) uses math-module Phi, ``bvn_rectangle`` and ``quad``. A
+gamma grid (a curve, or the search's scan) uses numpy Phi, Owen's T strips
+vectorized over gamma and one ``quad_vec`` per block of ``_GRID_BLOCK``
+points; one point costs more through ``quad_vec`` than through ``quad``.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ _QUAD_REQUEST = 1e-12
 #: Maximum tolerated gap between the two evaluation routes.
 ROUTE_AGREEMENT_TOL = 5e-9
 
-_EPS = float(np.finfo(float).eps)
-
 #: The minimum search's grid (upper end and step) and refinement tolerance.
 _SEARCH_GAMMA_MAX = 20.0
 _SEARCH_GRID_STEP = 0.01
@@ -96,8 +93,8 @@ class CoverageQuery:
 class CoverageResult:
     """A coverage probability with its error bound.
 
-    ``err_bound`` is a heuristic (quadrature error estimate plus ulp-level
-    slack per distribution-function call), not a rigorous enclosure.
+    ``err_bound`` is the quadrature's reported abserr plus the route gap at
+    this gamma: an estimate, not a rigorous enclosure.
     """
 
     value: float
@@ -165,45 +162,67 @@ def pooled_cover_prob(gamma: float, alpha: float) -> float:
     return _clip_prob(_pooled_inside_prob(gamma, std_normal_quantile(alpha)))
 
 
-def _reject_cover_routes(gamma: float, alpha: float, c1: float,
-                         c: float) -> tuple[float, float, float]:
-    """Evaluate P(robust pivot inside, pretest rejects) both ways.
+def _routes(gamma, alpha: float, c1: float, c: float, cdf, band, integrate):
+    """(bivariate route, quadrature route, abserr, coverage), all unclipped.
 
-    Returns (bivariate route, quadrature route, err bound of the latter)
-    and raises if the routes disagree beyond ROUTE_AGREEMENT_TOL.
+    The routes give P(robust pivot inside, pretest rejects) at a float gamma
+    or an array, with primitives to match: Phi ``cdf``, ``band(c, k)`` =
+    P(-c <= pivot <= c, pretest <= k) and ``integrate(f, lo, hi)`` ->
+    (integral, abserr). Raises if either gate fails, a NaN gap included.
     """
-    # Route (a): two rectangle strips of the joint normal law.
-    upper = bvn_rectangle(-c, c, c1 - gamma, math.inf, PIVOT_PRETEST_CORR)
-    lower = bvn_rectangle(-c, c, -math.inf, -c1 - gamma, PIVOT_PRETEST_CORR)
-    via_bvn = _clip_prob(upper + lower)
+    # Route (a): the two strips of the joint normal law outside the accept band.
+    via_bvn = (cdf(c) - cdf(-c)) - band(c, c1 - gamma) + band(c, -c1 - gamma)
 
     # Route (b): complement of the accept-side integral, conditioning the
     # pretest statistic on the pivot: mean gamma + 3 g / sqrt(11),
     # variance 2/11.
-    def integrand(g: float) -> float:
+    def integrand(g: float):
         mu = gamma + PIVOT_PRETEST_CORR * g
-        inside = (_cdf((c1 - mu) * _INV_COND_SD)
-                  - _cdf((-c1 - mu) * _INV_COND_SD))
+        inside = cdf((c1 - mu) * _INV_COND_SD) - cdf((-c1 - mu) * _INV_COND_SD)
         return inside * _pdf(g)
 
-    integral, abserr, info = quad(
-        integrand, -c, c,
-        epsabs=_QUAD_REQUEST, epsrel=_QUAD_REQUEST, limit=200, full_output=1,
-    )[:3]
+    integral, abserr = integrate(integrand, -c, c)
+    via_quad = (1.0 - alpha) - integral
     if not abserr <= QUAD_ABS_TOL:
+        where = (f"at gamma={gamma}" if np.ndim(gamma) == 0
+                 else f"on gamma in [{gamma[0]}, {gamma[-1]}]")
         raise QuadratureError(
-            f"quadrature achieved abs error {abserr:.3e} > {QUAD_ABS_TOL:.1e}",
-            estimate=(1.0 - alpha) - integral, err_bound=abserr)
-    via_quad = _clip_prob((1.0 - alpha) - integral)
-    err_bound = abserr + 4.0 * _EPS * 2.0 * info["neval"]
+            f"quadrature achieved abs error {abserr:.3e} > {QUAD_ABS_TOL:.1e} {where}",
+            estimate=via_quad, err_bound=abserr)
 
-    gap = abs(via_bvn - via_quad)
-    if not gap <= ROUTE_AGREEMENT_TOL:
+    gap = np.abs(via_bvn - via_quad)
+    if not (gap <= ROUTE_AGREEMENT_TOL).all():
+        worst = np.argmax(gap)  # the first NaN, if there is one
+        gap, at, estimate = (float(np.ravel(x)[worst]) for x in (gap, gamma, via_quad))
         raise RouteDisagreementError(
             f"bivariate and quadrature routes differ by {gap:.3e} "
-            f"at gamma={gamma}, alpha1 quantile={c1}, alpha={alpha}",
-            estimate=via_quad, err_bound=gap)
-    return via_bvn, via_quad, err_bound
+            f"at gamma={at}, alpha1 quantile={c1}, alpha={alpha}",
+            estimate=estimate, err_bound=gap)
+    coverage = (_accept_prob(gamma, c1, cdf) * _pooled_inside_prob(gamma, c, cdf)
+                + via_quad)
+    return via_bvn, via_quad, abserr, coverage
+
+
+# _routes' primitives for one float gamma, then for a gamma array.
+def _band(c: float, k: float) -> float:
+    return bvn_rectangle(-c, c, -math.inf, k, PIVOT_PRETEST_CORR)
+
+
+def _quad(integrand, lo: float, hi: float) -> tuple[float, float]:
+    # full_output also keeps QUADPACK's warnings quiet: the gate judges abserr.
+    return quad(integrand, lo, hi, epsabs=_QUAD_REQUEST, epsrel=_QUAD_REQUEST,
+                limit=200, full_output=1)[:2]
+
+
+def _band_array(c: float, k: np.ndarray) -> np.ndarray:
+    return (_bvn_cdf_array(c, k, PIVOT_PRETEST_CORR)
+            - _bvn_cdf_array(-c, k, PIVOT_PRETEST_CORR))
+
+
+def _quad_vec(integrand, lo: float, hi: float) -> tuple[np.ndarray, float]:
+    # The error is a sum of max-norms, so it bounds every entry's error.
+    return quad_vec(integrand, lo, hi, epsabs=_QUAD_REQUEST,
+                    epsrel=_QUAD_REQUEST, norm="max")
 
 
 def reject_cover_prob(gamma: float, alpha1: float, alpha: float) -> float:
@@ -219,68 +238,21 @@ def reject_cover_routes(gamma: float, alpha1: float,
                         alpha: float) -> tuple[float, float, float]:
     """Diagnostic form of reject_cover_prob exposing both routes.
 
-    Returns (bivariate-cdf value, quadrature value, quadrature err bound).
+    Returns (bivariate-cdf value, quadrature value, quadrature abserr).
     """
     query = CoverageQuery(gamma, alpha1, alpha)
     c1 = std_normal_quantile(query.alpha1)
     c = std_normal_quantile(query.alpha)
-    return _reject_cover_routes(query.gamma, query.alpha, c1, c)
+    via_bvn, via_quad, abserr, _ = _routes(query.gamma, query.alpha, c1, c,
+                                           _cdf, _band, _quad)
+    return _clip_prob(via_bvn), _clip_prob(via_quad), abserr
 
 
 def _coverage_value(gamma: float, alpha: float, c1: float,
                     c: float) -> tuple[float, float]:
-    accept = _accept_prob(gamma, c1)
-    pooled = _pooled_inside_prob(gamma, c)
-    _, joint, joint_err = _reject_cover_routes(gamma, alpha, c1, c)
-    value = _clip_prob(accept * pooled + joint)
-    err_bound = joint_err + 4.0 * _EPS * 4.0
-    return value, err_bound
-
-
-def _coverage_block(gammas: np.ndarray, alpha: float, c1: float,
-                    c: float) -> np.ndarray:
-    """Coverage at every entry of a finite gamma array, both routes checked.
-
-    The array form of _coverage_value's value; the caller keeps the array
-    to at most _GRID_BLOCK entries.
-    """
-    # Route (a): the same two strips, with their infinite corners as Phi terms.
-    k1 = c1 - gammas
-    k2 = -c1 - gammas
-    upper = np.clip((_cdf(c) - _cdf(-c)) - _bvn_cdf_array(c, k1, PIVOT_PRETEST_CORR)
-                    + _bvn_cdf_array(-c, k1, PIVOT_PRETEST_CORR), 0.0, 1.0)
-    lower = np.clip(_bvn_cdf_array(c, k2, PIVOT_PRETEST_CORR)
-                    - _bvn_cdf_array(-c, k2, PIVOT_PRETEST_CORR), 0.0, 1.0)
-    via_bvn = np.clip(upper + lower, 0.0, 1.0)
-
-    # Route (b): one adaptive GK21 integral of the vector of conditional
-    # accept probabilities. Its error is a sum of max-norms over the
-    # intervals, so it bounds the error of every entry.
-    def integrand(g: float) -> np.ndarray:
-        mu = gammas + PIVOT_PRETEST_CORR * g
-        inside = (_cdf_array((c1 - mu) * _INV_COND_SD)
-                  - _cdf_array((-c1 - mu) * _INV_COND_SD))
-        return inside * _pdf(g)
-
-    integral, abserr = quad_vec(integrand, -c, c, epsabs=_QUAD_REQUEST,
-                                epsrel=_QUAD_REQUEST, norm="max")
-    if not abserr <= QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"quadrature achieved abs error {abserr:.3e} > {QUAD_ABS_TOL:.1e} "
-            f"on gamma in [{gammas[0]}, {gammas[-1]}]",
-            estimate=(1.0 - alpha) - integral, err_bound=abserr)
-    via_quad = np.clip((1.0 - alpha) - integral, 0.0, 1.0)
-
-    gap = np.abs(via_bvn - via_quad)
-    worst = int(np.argmax(gap))  # the first NaN, if there is one
-    if not gap[worst] <= ROUTE_AGREEMENT_TOL:
-        raise RouteDisagreementError(
-            f"bivariate and quadrature routes differ by {gap[worst]:.3e} "
-            f"at gamma={gammas[worst]}, alpha1 quantile={c1}, alpha={alpha}",
-            estimate=float(via_quad[worst]), err_bound=float(gap[worst]))
-    accept = _accept_prob(gammas, c1, _cdf_array)
-    pooled = _pooled_inside_prob(gammas, c, _cdf_array)
-    return np.clip(accept * pooled + via_quad, 0.0, 1.0)
+    via_bvn, via_quad, abserr, coverage = _routes(gamma, alpha, c1, c,
+                                                  _cdf, _band, _quad)
+    return _clip_prob(coverage), abserr + abs(via_bvn - via_quad)
 
 
 def _coverage_grid(gammas: np.ndarray, alpha: float, c1: float,
@@ -289,8 +261,10 @@ def _coverage_grid(gammas: np.ndarray, alpha: float, c1: float,
     # Near the largest floats some terms overflow to inf, as they do on
     # the scalar path; the probabilities built from them are still exact.
     with np.errstate(over="ignore"):
-        return np.concatenate([_coverage_block(gammas[i:i + _GRID_BLOCK], alpha, c1, c)
-                               for i in range(0, len(gammas), _GRID_BLOCK)])
+        values = [_routes(gammas[i:i + _GRID_BLOCK], alpha, c1, c,
+                          _cdf_array, _band_array, _quad_vec)[3]
+                  for i in range(0, len(gammas), _GRID_BLOCK)]
+    return np.clip(np.concatenate(values), 0.0, 1.0)
 
 
 def coverage_probability(query: CoverageQuery) -> CoverageResult:

@@ -112,10 +112,13 @@ def std_normal_quantile(a):
         is within 1e-10 of ``1 - a``.
     """
     arr, scalar = _as_float_array(a, "a")
-    if not ((arr > 0.0) & (arr < 1.0)).all():
+    # a/2 is an exact halving, so no precision is lost entering the tail,
+    # except below the smallest subnormal, where it underflows to 0.
+    half = arr / 2.0
+    if not ((half > 0.0) & (arr < 1.0)).all():
         raise DomainError("a must lie strictly inside (0, 1)")
-    # a/2 is an exact halving, so no precision is lost entering the tail.
-    out = -std_normal_inverse_cdf(arr / 2.0)
+    # half < 0.5, so the inverse cdf's reflection is never needed.
+    out = -special.ndtri(half)
     return float(out) if scalar else out
 
 

@@ -26,6 +26,7 @@ from crossover_coverage import (
     scaled_carryover,
     theoretical_moments,
 )
+from crossover_coverage.coverage import ROUTE_AGREEMENT_TOL
 
 PIVOT_PRETEST_CORR_REF = 0.9045340337332909  # 3/sqrt(11)
 
@@ -73,10 +74,11 @@ def test_criterion_3_route_equivalence():
         via_bvn, via_quad, _ = reject_cover_routes(gamma, alpha1, alpha)
         worst = max(worst, abs(via_bvn - via_quad))
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-8
+    assert worst <= ROUTE_AGREEMENT_TOL
     assert elapsed < 10.0
     report("criterion 3",
-           f"max route gap {worst:.3e} over 200 random triples (tol 1e-8) "
+           f"max route gap {worst:.3e} over 200 random triples "
+           f"(tol {ROUTE_AGREEMENT_TOL:.0e}) "
            f"in {elapsed:.2f}s")
 
 

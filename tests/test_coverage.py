@@ -27,6 +27,7 @@ from crossover_coverage import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from crossover_coverage.coverage import QUAD_ABS_TOL, ROUTE_AGREEMENT_TOL
 
 # Reference values from 30-digit arithmetic (quantile by root-finding,
 # joint term by high-order quadrature of the conditional form).
@@ -87,8 +88,8 @@ class TestRejectCoverProb:
 
     def test_routes_agree_at_zero(self):
         via_bvn, via_quad, err = reject_cover_routes(0.0, 0.1, 0.05)
-        assert abs(via_bvn - via_quad) <= 1e-8
-        assert err <= 1e-8
+        assert abs(via_bvn - via_quad) <= ROUTE_AGREEMENT_TOL
+        assert err <= QUAD_ABS_TOL + ROUTE_AGREEMENT_TOL
         assert abs(via_quad - REJECT_COVER_AT_ZERO) <= 1e-10
 
     def test_monte_carlo_oracle_at_zero(self):
@@ -124,7 +125,7 @@ class TestRejectCoverProb:
             alpha = float(rng.uniform(0.001, 0.5))
             via_bvn, via_quad, _ = reject_cover_routes(gamma, alpha1, alpha)
             worst = max(worst, abs(via_bvn - via_quad))
-        assert worst <= 1e-8
+        assert worst <= ROUTE_AGREEMENT_TOL
 
 
 class TestCoverageProbability:
@@ -132,7 +133,7 @@ class TestCoverageProbability:
         for gamma, ref in COVERAGE_REFS.items():
             result = coverage_probability(CoverageQuery(gamma, 0.1, 0.05))
             assert abs(result.value - ref) <= 1e-9
-            assert result.err_bound <= 1e-8
+            assert result.err_bound <= QUAD_ABS_TOL + ROUTE_AGREEMENT_TOL
 
     def test_composition_of_parts(self):
         for gamma in (0.0, 0.8, 1.5, 3.0, -2.2):
@@ -243,35 +244,56 @@ class TestCoverageGrid:
                     for p in points)
         assert worst <= 1e-13
 
+    @staticmethod
+    def point_queries():
+        # Single queries at a gamma where the routes differ by about 1e-16
+        # and QUADPACK reports a nonzero abserr.
+        return (lambda: coverage_probability(CoverageQuery(1.3, 0.1, 0.05)),
+                lambda: reject_cover_routes(1.3, 0.1, 0.05))
+
     def test_route_gate_applies_at_every_point(self, monkeypatch):
         monkeypatch.setattr(coverage_module, "ROUTE_AGREEMENT_TOL", 0.0)
         with pytest.raises(RouteDisagreementError):
             coverage_curve(0.1, 0.05, -8.0, 8.0, 801)
         with pytest.raises(RouteDisagreementError):
             min_coverage(0.1, 0.05)
+        for query in self.point_queries():
+            with pytest.raises(RouteDisagreementError, match=r"at gamma=1\.3,"):
+                query()
 
     def test_quadrature_gate(self, monkeypatch):
         monkeypatch.setattr(coverage_module, "QUAD_ABS_TOL", 0.0)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"on gamma in \[-8\.0, 8\.0\]"):
             coverage_curve(0.1, 0.05, -8.0, 8.0, 801)
         with pytest.raises(QuadratureError):
             min_coverage(0.1, 0.05)
+        for query in self.point_queries():
+            with pytest.raises(QuadratureError, match=r"at gamma=1\.3$"):
+                query()
 
     @pytest.mark.parametrize("bad", [1e-6, math.nan])
     def test_route_gap_names_the_worst_gamma(self, monkeypatch, bad):
         # A disagreement (or a NaN, which fails every comparison) at one
-        # grid point must raise and name that point's gamma.
-        quad_vec = coverage_module.quad_vec
+        # grid point, or at a single query, must raise and name its gamma.
+        quad_vec, quad = coverage_module.quad_vec, coverage_module.quad
 
         def off_at_one_point(*args, **kwargs):
             integral, err = quad_vec(*args, **kwargs)
             integral[5] += bad
             return integral, err
 
+        def off(*args, **kwargs):
+            integral, *rest = quad(*args, **kwargs)
+            return (integral + bad, *rest)
+
         monkeypatch.setattr(coverage_module, "quad_vec", off_at_one_point)
+        monkeypatch.setattr(coverage_module, "quad", off)
         gamma = float(np.linspace(-8.0, 8.0, 41)[5])
         with pytest.raises(RouteDisagreementError, match=f"at gamma={gamma!r},"):
             coverage_curve(0.1, 0.05, -8.0, 8.0, 41)
+        for query in self.point_queries():
+            with pytest.raises(RouteDisagreementError, match=r"at gamma=1\.3,"):
+                query()
 
 
 class TestMinCoverage:

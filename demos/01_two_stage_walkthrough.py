@@ -61,7 +61,7 @@ print()
 outcome = two_stage(reduced, design, config)
 print(f"pretest statistic: {outcome.pretest_stat:+.3f}")
 print("pretest decision:", "accept no-carryover" if outcome.h0_accepted else "reject")
-print(f"selected branch: {outcome.branch.value}")
+print("selected branch:", "pooled" if outcome.h0_accepted else "robust")
 print(f"confidence interval: [{outcome.interval_lo:+.3f}, {outcome.interval_hi:+.3f}]")
 covered = outcome.interval_lo <= params.treatment_difference <= outcome.interval_hi
 print("covers the true treatment difference:", covered)

@@ -9,7 +9,7 @@ Monte Carlo simulator, and locates the coverage minimum, which falls far
 below the nominal level.
 """
 
-from .bivariate import bvn_cdf, bvn_rectangle
+from .bivariate import bvn_rectangle
 from .coverage import (
     PIVOT_PRETEST_CORR,
     CoverageQuery,
@@ -22,9 +22,6 @@ from .coverage import (
     efficiency_comparison,
     min_coverage,
     min_coverage_table,
-    pooled_cover_prob,
-    pretest_accept_prob,
-    reject_cover_prob,
     reject_cover_routes,
 )
 from .errors import (
@@ -34,12 +31,7 @@ from .errors import (
     QuadratureError,
     RouteDisagreementError,
 )
-from .normal import (
-    std_normal_cdf,
-    std_normal_inverse_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from .normal import std_normal_inverse_cdf, std_normal_quantile
 from .simulate import (
     EmpiricalCoverage,
     EstimatorMoments,
@@ -51,7 +43,6 @@ from .simulate import (
     theoretical_moments,
 )
 from .trial import (
-    Branch,
     EffectEstimates,
     ModelParams,
     PeriodDifferences,
@@ -69,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PIVOT_PRETEST_CORR",
-    "Branch",
     "CoverageQuery",
     "CoverageResult",
     "CrossoverError",
@@ -90,7 +80,6 @@ __all__ = [
     "TrialDesign",
     "TwoStageConfig",
     "TwoStageOutcome",
-    "bvn_cdf",
     "bvn_rectangle",
     "coverage_curve",
     "coverage_probability",
@@ -100,17 +89,12 @@ __all__ = [
     "estimator_moments",
     "min_coverage",
     "min_coverage_table",
-    "pooled_cover_prob",
-    "pretest_accept_prob",
     "reduce_responses",
-    "reject_cover_prob",
     "reject_cover_routes",
     "replication_stream",
     "scaled_carryover",
     "simulate_trial",
-    "std_normal_cdf",
     "std_normal_inverse_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
     "theoretical_moments",
     "two_stage",

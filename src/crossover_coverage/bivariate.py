@@ -31,16 +31,6 @@ def _checked_rho(rho) -> float:
     return rho
 
 
-def bvn_cdf(h: float, k: float, rho: float) -> float:
-    """P(X <= h, Y <= k) for standard bivariate normal with correlation rho.
-
-    Accepts infinite bounds; rejects NaN. Degenerate correlations +/-1 are
-    handled exactly.
-    """
-    return _bvn_cdf(_checked_real("h", h, infinite=True),
-                    _checked_real("k", k, infinite=True), _checked_rho(rho))
-
-
 def _bvn_cdf(h: float, k: float, rho: float) -> float:
     # Unchecked: callers pass float bounds (possibly infinite) and rho in [-1, 1].
     if h == -math.inf or k == -math.inf:

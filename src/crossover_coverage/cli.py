@@ -173,6 +173,8 @@ def _check(name: str, ok: bool, detail: str, failures: list[str]) -> None:
 def cmd_validate(args) -> int:
     # The variance gates below need at least two replications.
     reps = _checked_int("validate --reps", args.reps, 2)
+    # Checked before any check runs; seed + i below wraps to a Philox key.
+    seed = _checked_int("validate --seed", args.seed, 0, 2**64)
     failures: list[str] = []
 
     # (a) cross-route agreement of the reject-branch joint term.
@@ -197,7 +199,7 @@ def cmd_validate(args) -> int:
         params = ModelParams.from_effects(0.7, psi, between_subject_var=1.0,
                                           error_var=1.0)
         config = SimConfig.create(design, params, alpha1, alpha, reps,
-                                  (args.seed + i) % 2**64)
+                                  (seed + i) % 2**64)
         gamma = scaled_carryover(params.differential_carryover, design, 1.0)
         analytic = coverage_probability(CoverageQuery(gamma, alpha1, alpha))
         emp = empirical_coverage(config)
@@ -212,7 +214,7 @@ def cmd_validate(args) -> int:
                                           error_var=1.0)
     mom_reps = min(reps, 100_000)
     mom_config = SimConfig.create(mom_design, mom_params, alpha1, alpha,
-                                  mom_reps, args.seed)
+                                  mom_reps, seed)
     sample = estimator_moments(mom_config)
     exact = theoretical_moments(mom_design, mom_params)
     # The standard error of each sample moment, field by field. They scale

@@ -134,7 +134,8 @@ def _clip_prob(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-# Both take a float gamma, or an array of gammas with cdf=_cdf_array.
+# P(pretest accepts) and P(pooled interval covers), unclipped. Both take a
+# float gamma, or an array of gammas with cdf=_cdf_array.
 def _accept_prob(gamma, c1: float, cdf=_cdf):
     return cdf(c1 - gamma) - cdf(-c1 - gamma)
 
@@ -142,24 +143,6 @@ def _accept_prob(gamma, c1: float, cdf=_cdf):
 def _pooled_inside_prob(gamma, c: float, cdf=_cdf):
     shift = _POOLED_SHIFT * gamma
     return cdf(c + shift) - cdf(-c + shift)
-
-
-def pretest_accept_prob(gamma: float, alpha1: float) -> float:
-    """Probability the carryover pretest accepts, as a function of gamma."""
-    gamma = _checked_real("gamma", gamma)
-    alpha1 = _checked_real("alpha1", alpha1, level=True)
-    return _clip_prob(_accept_prob(gamma, std_normal_quantile(alpha1)))
-
-
-def pooled_cover_prob(gamma: float, alpha: float) -> float:
-    """Probability the pooled-branch interval covers the true difference.
-
-    The pooled estimator is biased by the carryover, so its pivot sits at
-    mean -3*gamma/sqrt(2); this probability collapses quickly in |gamma|.
-    """
-    gamma = _checked_real("gamma", gamma)
-    alpha = _checked_real("alpha", alpha, level=True)
-    return _clip_prob(_pooled_inside_prob(gamma, std_normal_quantile(alpha)))
 
 
 def _routes(gamma, alpha: float, c1: float, c: float, cdf, band, integrate):
@@ -225,20 +208,13 @@ def _quad_vec(integrand, lo: float, hi: float) -> tuple[np.ndarray, float]:
                     epsrel=_QUAD_REQUEST, norm="max")
 
 
-def reject_cover_prob(gamma: float, alpha1: float, alpha: float) -> float:
-    """P(robust interval covers AND pretest rejects).
-
-    Computed by adaptive quadrature of the conditional form, with a
-    bivariate-normal rectangle evaluation cross-checking every call.
-    """
-    return reject_cover_routes(gamma, alpha1, alpha)[1]
-
-
 def reject_cover_routes(gamma: float, alpha1: float,
                         alpha: float) -> tuple[float, float, float]:
-    """Diagnostic form of reject_cover_prob exposing both routes.
+    """P(robust interval covers AND pretest rejects), by both routes.
 
-    Returns (bivariate-cdf value, quadrature value, quadrature abserr).
+    Returns (bivariate-cdf value, quadrature value, quadrature abserr);
+    the quadrature value is the authoritative one. Raises if the routes
+    disagree beyond ROUTE_AGREEMENT_TOL.
     """
     query = CoverageQuery(gamma, alpha1, alpha)
     c1 = std_normal_quantile(query.alpha1)

@@ -1,9 +1,11 @@
-"""Standard-normal primitives: density, distribution function, quantiles.
+"""Standard-normal primitives: quantiles, and the engine's density and cdf.
 
-Every public function accepts a float or a numpy array and returns the
+Both public quantiles accept a float or a numpy array and return the
 matching kind. Inputs containing NaN are rejected with ``DomainError``
 rather than propagated, because a silent NaN would corrupt the coverage
-integrals downstream.
+integrals downstream. The private ``_pdf``, ``_cdf`` and ``_cdf_array``
+are the unchecked kernels the coverage engine integrates; Phi(x) there is
+``0.5 * erfc(-x / sqrt(2))``, accurate to a few ulp everywhere.
 
 The quantile is ``scipy.special.ndtri`` on the lower half of (0, 1),
 reflected for p > 0.5, so ``Phi^-1(1 - p) == -Phi^-1(p)`` holds exactly
@@ -33,41 +35,6 @@ def _as_float_array(x, name):
     return arr, arr.ndim == 0
 
 
-def std_normal_pdf(x):
-    """Density of the standard normal distribution.
-
-    Parameters
-    ----------
-    x : float or array_like
-        Evaluation point(s); must be finite.
-
-    Returns
-    -------
-    float or numpy.ndarray
-        ``exp(-x**2 / 2) / sqrt(2*pi)``. Underflows to 0.0 in the far
-        tails (|x| > ~38.6) without raising.
-    """
-    arr, scalar = _as_float_array(x, "x")
-    if not np.isfinite(arr).all():
-        raise DomainError("x must be finite")
-    out = np.exp(-0.5 * arr * arr) * INV_SQRT_2PI
-    return float(out) if scalar else out
-
-
-def std_normal_cdf(x):
-    """Distribution function of the standard normal distribution.
-
-    Implemented as ``0.5 * erfc(-x / sqrt(2))`` in double precision;
-    absolute error is at the few-ulp level everywhere. Accepts ``+inf``
-    and ``-inf`` (mapping to 1 and 0); rejects NaN.
-    """
-    arr, scalar = _as_float_array(x, "x")
-    if np.isnan(arr).any():
-        raise DomainError("x must not contain NaN")
-    out = _cdf_array(arr)
-    return float(out) if scalar else out
-
-
 def std_normal_inverse_cdf(p):
     """Quantile function (inverse cdf) of the standard normal distribution.
 
@@ -79,7 +46,7 @@ def std_normal_inverse_cdf(p):
     Returns
     -------
     float or numpy.ndarray
-        The value z with ``std_normal_cdf(z) == p`` to machine precision.
+        The value z with Phi(z) == p to machine precision.
 
     Raises
     ------
@@ -108,8 +75,8 @@ def std_normal_quantile(a):
     Returns
     -------
     float or numpy.ndarray
-        Positive c such that ``std_normal_cdf(c) - std_normal_cdf(-c)``
-        is within 1e-10 of ``1 - a``.
+        Positive c such that Phi(c) - Phi(-c) is within 1e-10 of
+        ``1 - a``.
     """
     arr, scalar = _as_float_array(a, "a")
     # a/2 is an exact halving, so no precision is lost entering the tail,

@@ -296,23 +296,20 @@ def estimator_moments(config: SimConfig, *, chunk_size: int | None = None) -> Es
     """
     parts = [_batch_estimates(config, start, count)
              for start, count in _chunk_bounds(config, chunk_size)]
-    pooled = np.concatenate([p[0] for p in parts])
-    robust = np.concatenate([p[1] for p in parts])
-    carry = np.concatenate([p[2] for p in parts])
+    samples = np.concatenate(parts, axis=1)  # rows: pooled, robust, carryover
     ddof = 1 if config.replications > 1 else 0
-    cov_rc = float(np.cov(robust, carry, ddof=ddof)[0, 1]) if config.replications > 1 else 0.0
-    cov_pc = float(np.cov(pooled, carry, ddof=ddof)[0, 1]) if config.replications > 1 else 0.0
-    var_r = float(np.var(robust, ddof=ddof))
-    var_c = float(np.var(carry, ddof=ddof))
+    cov = np.cov(samples, ddof=ddof)
+    var_r, var_c, cov_rc = float(cov[1, 1]), float(cov[2, 2]), float(cov[1, 2])
     corr = cov_rc / math.sqrt(var_r * var_c) if var_r > 0.0 and var_c > 0.0 else math.nan
+    mean = samples.mean(axis=1)
     return EstimatorMoments(
-        mean_pooled=float(np.mean(pooled)),
-        mean_robust=float(np.mean(robust)),
-        mean_carryover=float(np.mean(carry)),
-        var_pooled=float(np.var(pooled, ddof=ddof)),
+        mean_pooled=float(mean[0]),
+        mean_robust=float(mean[1]),
+        mean_carryover=float(mean[2]),
+        var_pooled=float(cov[0, 0]),
         var_robust=var_r,
         var_carryover=var_c,
-        cov_pooled_carryover=cov_pc,
+        cov_pooled_carryover=float(cov[0, 2]),
         cov_robust_carryover=cov_rc,
         corr_robust_carryover=corr,
     )

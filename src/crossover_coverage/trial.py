@@ -14,7 +14,6 @@ confidence interval accordingly).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -135,13 +134,6 @@ class PeriodDifferences:
         return np.array([self.d1, self.d2, self.d3, self.d4])
 
 
-class Branch(enum.Enum):
-    """Which estimator the two-stage procedure settled on."""
-
-    POOLED = "pooled"
-    ROBUST = "robust"
-
-
 @dataclass(frozen=True)
 class TwoStageConfig:
     """Levels and known error scale for the two-stage procedure."""
@@ -161,13 +153,16 @@ class TwoStageConfig:
 
 @dataclass(frozen=True)
 class TwoStageOutcome:
-    """Result of one run of the two-stage procedure."""
+    """Result of one run of the two-stage procedure.
+
+    ``h0_accepted`` also names the interval: pooled when true, robust
+    otherwise.
+    """
 
     pretest_stat: float
     h0_accepted: bool
     interval_lo: float
     interval_hi: float
-    branch: Branch
 
 
 class EffectEstimates(NamedTuple):
@@ -261,15 +256,12 @@ def two_stage(reduced: PeriodDifferences, design: TrialDesign,
     if accepted:
         center = est.pooled_effect
         half_width = pooled_half_width(design.m, config.alpha, config.sigma_e)
-        branch = Branch.POOLED
     else:
         center = est.robust_effect
         half_width = robust_half_width(design.m, config.alpha, config.sigma_e)
-        branch = Branch.ROBUST
     return TwoStageOutcome(
         pretest_stat=stat,
         h0_accepted=accepted,
         interval_lo=center - half_width,
         interval_hi=center + half_width,
-        branch=branch,
     )

@@ -190,6 +190,13 @@ class TestValidate:
         assert main(["validate", "--reps", "1", "--seed", "3"]) == 2
         assert "--reps must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_is_usage_error_before_any_check(self, capsys, seed):
+        assert main(["validate", "--reps", "200", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "validate --seed must be" in captured.err
+
     def test_corrupted_estimator_fails(self, capsys, monkeypatch):
         # Sensitivity check: a wrong coefficient in the pooled estimator
         # must trip the suite.

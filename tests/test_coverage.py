@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from crossover_coverage import coverage as coverage_module
 from crossover_coverage import (
@@ -19,15 +20,16 @@ from crossover_coverage import (
     efficiency_comparison,
     min_coverage,
     min_coverage_table,
-    pooled_cover_prob,
-    pretest_accept_prob,
-    reject_cover_prob,
     reject_cover_routes,
     scaled_carryover,
-    std_normal_cdf,
     std_normal_quantile,
 )
-from crossover_coverage.coverage import QUAD_ABS_TOL, ROUTE_AGREEMENT_TOL
+from crossover_coverage.coverage import (
+    QUAD_ABS_TOL,
+    ROUTE_AGREEMENT_TOL,
+    _accept_prob,
+    _pooled_inside_prob,
+)
 
 # Reference values from 30-digit arithmetic (quantile by root-finding,
 # joint term by high-order quadrature of the conditional form).
@@ -42,19 +44,22 @@ COVERAGE_REFS = {
 MIN_COVERAGE_REF = 0.4711045078044567
 GAMMA_STAR_REF = 1.378390034067948
 
+C1 = std_normal_quantile(0.1)    # pretest critical value at alpha1 = 0.1
+C = std_normal_quantile(0.05)    # interval quantile at alpha = 0.05
+
 
 class TestPretestAcceptProb:
     def test_level_under_null(self):
-        assert abs(pretest_accept_prob(0.0, 0.1) - 0.9) <= 1e-12
+        assert abs(_accept_prob(0.0, C1) - 0.9) <= 1e-12
 
     def test_far_shifted_mean(self):
-        assert pretest_accept_prob(10.0, 0.1) < 1e-15
+        assert _accept_prob(10.0, C1) < 1e-15
 
     def test_symmetry(self):
         rng = np.random.default_rng(31)
         for gamma in rng.uniform(0, 6, size=50):
-            a = pretest_accept_prob(float(gamma), 0.1)
-            b = pretest_accept_prob(float(-gamma), 0.1)
+            a = _accept_prob(float(gamma), C1)
+            b = _accept_prob(float(-gamma), C1)
             assert abs(a - b) <= 1e-14
 
     def test_complement_consistency(self):
@@ -62,29 +67,29 @@ class TestPretestAcceptProb:
         # must partition the line.
         c1 = std_normal_quantile(0.1)
         for gamma in (0.0, 0.7, 2.3, -1.1):
-            accept = std_normal_cdf(c1 - gamma) - std_normal_cdf(-c1 - gamma)
-            reject = std_normal_cdf(-c1 - gamma) + (1.0 - std_normal_cdf(c1 - gamma))
+            accept = ndtr(c1 - gamma) - ndtr(-c1 - gamma)
+            reject = ndtr(-c1 - gamma) + (1.0 - ndtr(c1 - gamma))
             assert abs(accept + reject - 1.0) <= 1e-12
-            assert abs(pretest_accept_prob(gamma, 0.1) - accept) <= 1e-15
+            assert abs(_accept_prob(gamma, c1) - accept) <= 1e-15
 
 
 class TestPooledCoverProb:
     def test_centered_equals_nominal(self):
-        assert abs(pooled_cover_prob(0.0, 0.05) - 0.95) <= 1e-12
+        assert abs(_pooled_inside_prob(0.0, C) - 0.95) <= 1e-12
 
     def test_escapes_for_large_gamma(self):
-        assert pooled_cover_prob(10.0, 0.05) < 1e-12
+        assert _pooled_inside_prob(10.0, C) < 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(32)
         for gamma in rng.uniform(0, 6, size=50):
-            assert abs(pooled_cover_prob(float(gamma), 0.05)
-                       - pooled_cover_prob(float(-gamma), 0.05)) <= 1e-14
+            assert abs(_pooled_inside_prob(float(gamma), C)
+                       - _pooled_inside_prob(float(-gamma), C)) <= 1e-14
 
 
 class TestRejectCoverProb:
     def test_limit_pretest_always_rejects(self):
-        assert abs(reject_cover_prob(10.0, 0.1, 0.05) - 0.95) <= 1e-8
+        assert abs(reject_cover_routes(10.0, 0.1, 0.05)[1] - 0.95) <= 1e-8
 
     def test_routes_agree_at_zero(self):
         via_bvn, via_quad, err = reject_cover_routes(0.0, 0.1, 0.05)
@@ -107,13 +112,13 @@ class TestRejectCoverProb:
         hit = (np.abs(pivot) <= c) & (np.abs(pretest) >= c1)
         phat = hit.mean()
         se = math.sqrt(phat * (1.0 - phat) / n)
-        assert abs(phat - reject_cover_prob(0.0, 0.1, 0.05)) <= 4.0 * se
+        assert abs(phat - reject_cover_routes(0.0, 0.1, 0.05)[1]) <= 4.0 * se
 
     def test_symmetry(self):
         rng = np.random.default_rng(33)
         for gamma in rng.uniform(0, 5, size=25):
-            a = reject_cover_prob(float(gamma), 0.1, 0.05)
-            b = reject_cover_prob(float(-gamma), 0.1, 0.05)
+            a = reject_cover_routes(float(gamma), 0.1, 0.05)[1]
+            b = reject_cover_routes(float(-gamma), 0.1, 0.05)[1]
             assert abs(a - b) <= 1e-10
 
     def test_route_agreement_on_random_triples(self):
@@ -136,10 +141,14 @@ class TestCoverageProbability:
             assert result.err_bound <= QUAD_ABS_TOL + ROUTE_AGREEMENT_TOL
 
     def test_composition_of_parts(self):
+        # P(accept) * P(pooled covers) from scipy's ndtr, independent of the
+        # engine's kernels, plus the reject-branch joint term.
         for gamma in (0.0, 0.8, 1.5, 3.0, -2.2):
             whole = coverage_probability(CoverageQuery(gamma, 0.1, 0.05)).value
-            parts = (pretest_accept_prob(gamma, 0.1) * pooled_cover_prob(gamma, 0.05)
-                     + reject_cover_prob(gamma, 0.1, 0.05))
+            shift = 3.0 * gamma / math.sqrt(2.0)
+            accept = ndtr(C1 - gamma) - ndtr(-C1 - gamma)
+            pooled = ndtr(C + shift) - ndtr(-C + shift)
+            parts = accept * pooled + reject_cover_routes(gamma, 0.1, 0.05)[1]
             assert abs(whole - parts) <= 1e-14
 
     def test_large_gamma_limit(self):

@@ -262,6 +262,19 @@ class TestEstimatorMoments:
             vals = [getattr(r, field) for r in results]
             assert max(vals) / min(vals) <= 1.05
 
+    def test_single_replication(self):
+        # One sample has no spread: the n divisor gives zeros, and the
+        # correlation of two constants is undefined.
+        config = make_config(replications=1, seed=5)
+        moments = estimator_moments(config)
+        (pooled,), (robust,), (carry,) = _batch_estimates(config, 0, 1)
+        assert (moments.mean_pooled, moments.mean_robust,
+                moments.mean_carryover) == (pooled, robust, carry)
+        for field in ("var_pooled", "var_robust", "var_carryover",
+                      "cov_pooled_carryover", "cov_robust_carryover"):
+            assert getattr(moments, field) == 0.0
+        assert math.isnan(moments.corr_robust_carryover)
+
     def test_theoretical_moments_values(self):
         design = TrialDesign(8, 8)
         params = ModelParams.from_effects(0.7, 0.3, error_var=2.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from crossover_coverage import (
-    Branch,
     DomainError,
     ModelParams,
     PeriodDifferences,
@@ -159,7 +158,6 @@ class TestTwoStage:
         config = TwoStageConfig(alpha1=0.1, alpha=0.05, sigma_e=1.0)
         out = two_stage(PeriodDifferences(0.0, 0.0, 0.0, 0.0), design, config)
         assert out.h0_accepted
-        assert out.branch is Branch.POOLED
         assert out.pretest_stat == 0.0
         half = pooled_half_width(design.m, 0.05, 1.0)
         assert out.interval_lo == -half
@@ -171,7 +169,6 @@ class TestTwoStage:
         config = TwoStageConfig(alpha1=0.1, alpha=0.05, sigma_e=1.0)
         out = two_stage(PeriodDifferences(1e6, 0.0, 0.0, 0.0), design, config)
         assert not out.h0_accepted
-        assert out.branch is Branch.ROBUST
 
     def test_boundary_tie_rejects(self):
         # Constructed so the pretest statistic lands exactly on the
@@ -183,7 +180,6 @@ class TestTwoStage:
         out = two_stage(PeriodDifferences(d1, 0.0, 0.0, 0.0), design, config)
         assert out.pretest_stat == crit
         assert not out.h0_accepted
-        assert out.branch is Branch.ROBUST
 
     def test_one_ulp_inside_accepts(self):
         design = TrialDesign(4, 4)
@@ -205,7 +201,10 @@ class TestTwoStage:
             reduced = PeriodDifferences(*rng.normal(scale=2.0, size=4))
             out = two_stage(reduced, design, config)
             assert out.interval_lo <= out.interval_hi
-            assert out.h0_accepted == (out.branch is Branch.POOLED)
+            # h0_accepted names the interval: pooled when true, else robust.
+            est = estimate_effects(reduced)
+            center = est.pooled_effect if out.h0_accepted else est.robust_effect
+            assert abs(0.5 * (out.interval_lo + out.interval_hi) - center) < 1e-12
             width = out.interval_hi - out.interval_lo
             expected = hw_pooled if out.h0_accepted else hw_robust
             assert abs(width - 2.0 * expected) < 1e-12

@@ -17,7 +17,6 @@ from crossover_coverage import (
     SimConfig,
     TrialDesign,
     TwoStageConfig,
-    bvn_cdf,
     bvn_rectangle,
     coverage_curve,
     coverage_probability,
@@ -26,15 +25,10 @@ from crossover_coverage import (
     estimator_moments,
     min_coverage,
     min_coverage_table,
-    pooled_cover_prob,
-    pretest_accept_prob,
-    reject_cover_prob,
     reject_cover_routes,
     replication_stream,
     scaled_carryover,
-    std_normal_cdf,
     std_normal_inverse_cdf,
-    std_normal_pdf,
     std_normal_quantile,
 )
 
@@ -45,9 +39,6 @@ CONFIG = SimConfig.create(DESIGN, PARAMS, 0.1, 0.05, 20, 0)
 # (name, callable, valid keyword arguments); every argument listed is checked.
 ENTRY_POINTS = [
     ("CoverageQuery", CoverageQuery, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
-    ("pretest_accept_prob", pretest_accept_prob, dict(gamma=0.5, alpha1=0.1)),
-    ("pooled_cover_prob", pooled_cover_prob, dict(gamma=0.5, alpha=0.05)),
-    ("reject_cover_prob", reject_cover_prob, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
     ("reject_cover_routes", reject_cover_routes, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
     ("coverage_curve", coverage_curve,
      dict(alpha1=0.1, alpha=0.05, gamma_min=0.0, gamma_max=1.0, steps=3)),
@@ -57,11 +48,8 @@ ENTRY_POINTS = [
      dict(alpha1=0.1, alpha=0.05)),
     ("efficiency_comparison", efficiency_comparison,
      dict(sigma_s2=1.0, sigma_e2=1.0, n=10)),
-    ("std_normal_pdf", std_normal_pdf, dict(x=0.3)),
-    ("std_normal_cdf", std_normal_cdf, dict(x=0.3)),
     ("std_normal_inverse_cdf", std_normal_inverse_cdf, dict(p=0.3)),
     ("std_normal_quantile", std_normal_quantile, dict(a=0.05)),
-    ("bvn_cdf", bvn_cdf, dict(h=0.1, k=0.2, rho=0.5)),
     ("bvn_rectangle", bvn_rectangle,
      dict(x_lo=-1.0, x_hi=1.0, y_lo=0.0, y_hi=1.0, rho=0.5)),
     ("TrialDesign", TrialDesign, dict(n1=2, n2=3)),

@@ -40,6 +40,10 @@ CONFIG = SimConfig.create(DESIGN, PARAMS, 0.1, 0.05, 20, 0)
 ENTRY_POINTS = [
     ("CoverageQuery", CoverageQuery, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
     ("reject_cover_routes", reject_cover_routes, dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
+    # The reject-branch coverage, read from the routes as callers now do.
+    ("reject_cover_prob",
+     lambda gamma, alpha1, alpha: reject_cover_routes(gamma, alpha1, alpha)[1],
+     dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
     ("coverage_curve", coverage_curve,
      dict(alpha1=0.1, alpha=0.05, gamma_min=0.0, gamma_max=1.0, steps=3)),
     ("min_coverage", min_coverage,
@@ -50,6 +54,9 @@ ENTRY_POINTS = [
      dict(sigma_s2=1.0, sigma_e2=1.0, n=10)),
     ("std_normal_inverse_cdf", std_normal_inverse_cdf, dict(p=0.3)),
     ("std_normal_quantile", std_normal_quantile, dict(a=0.05)),
+    # The bivariate normal CDF, written as a rectangle open below.
+    ("bvn_cdf", lambda h, k, rho: bvn_rectangle(-math.inf, h, -math.inf, k, rho),
+     dict(h=0.1, k=0.2, rho=0.5)),
     ("bvn_rectangle", bvn_rectangle,
      dict(x_lo=-1.0, x_hi=1.0, y_lo=0.0, y_hi=1.0, rho=0.5)),
     ("TrialDesign", TrialDesign, dict(n1=2, n2=3)),

@@ -13,7 +13,6 @@ from crossover_coverage import (
     TwoStageConfig,
     estimate_effects,
     reduce_responses,
-    replication_stream,
     scaled_carryover,
     simulate_trial,
     two_stage,
@@ -37,8 +36,7 @@ print("scaled carryover gamma:",
       round(scaled_carryover(params.differential_carryover, design, config.sigma_e), 4))
 print()
 
-responses = simulate_trial(design, params, replication_stream(seed=2024, rep_index=0,
-                                                              design=design))
+responses = simulate_trial(design, params, seed=2024, rep_index=0)
 print("group 1 responses (one row per subject):")
 print(np.array_str(responses.group1, precision=2))
 print()

@@ -38,7 +38,6 @@ from .simulate import (
     SimConfig,
     empirical_coverage,
     estimator_moments,
-    replication_stream,
     simulate_trial,
     theoretical_moments,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "min_coverage_table",
     "reduce_responses",
     "reject_cover_routes",
-    "replication_stream",
     "scaled_carryover",
     "simulate_trial",
     "std_normal_inverse_cdf",

@@ -157,10 +157,10 @@ def cmd_efficiency(args) -> int:
     print(f"var(robust crossover estimator): {comp.var_robust!r}")
     print(f"var(completely randomized estimator): {comp.var_randomized!r}")
     print(f"variance ratio (crossover / randomized): {ratio:.6f}")
+    verdict = "yes" if comp.crossover_preferred else "no"
     threshold = 4.5 * args.sigma_e2
-    print(f"sigma_s2 >= 4.5 * sigma_e2: {'yes' if args.sigma_s2 >= threshold else 'no'} "
-          f"({args.sigma_s2!r} vs {threshold!r})")
-    print(f"crossover preferred: {'yes' if comp.crossover_preferred else 'no'}")
+    print(f"sigma_s2 >= 4.5 * sigma_e2: {verdict} ({args.sigma_s2!r} vs {threshold!r})")
+    print(f"crossover preferred: {verdict}")
     return 0
 
 

@@ -334,7 +334,8 @@ def efficiency_comparison(sigma_s2: float, sigma_e2: float,
     comparator is the difference of group means from a completely
     randomized design with the same total number of response
     measurements. The crossover estimator wins exactly when the
-    between-subject variance is at least 4.5 times the error variance.
+    between-subject variance is at least 4.5 times the error variance,
+    tested as such: the two rounded variances can disagree at the boundary.
     """
     n = _checked_int("n", n, 1)
     sigma_e2 = _checked_real("sigma_e2", sigma_e2)
@@ -348,5 +349,5 @@ def efficiency_comparison(sigma_s2: float, sigma_e2: float,
     return EfficiencyComparison(
         var_robust=var_robust,
         var_randomized=var_randomized,
-        crossover_preferred=var_robust <= var_randomized,
+        crossover_preferred=sigma_s2 >= 4.5 * sigma_e2,
     )

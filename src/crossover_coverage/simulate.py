@@ -9,37 +9,41 @@ Reproducibility contract
 Replication ``r`` of a run with seed ``s`` consumes a fixed-width slice of
 the counter space of a Philox stream keyed by ``s``. Results are therefore
 bit-identical regardless of chunking or evaluation order, and any single
-replication can be regenerated in isolation with ``replication_stream``.
+replication can be regenerated in isolation with
+``simulate_trial(design, params, seed, rep_index)``. Only ``_raw_words``
+positions and advances the stream.
 
 Normal variates are ``std_normal_inverse_cdf`` (scipy's ``ndtri``) of
 open-interval uniforms built from the raw 64-bit words. Each replication
 consumes exactly ``5 * (n1 + n2)`` raw words (one per subject effect, one
 per subject-period error), padded to a multiple of 4 words because Philox
-advances in 4-word blocks. ``_responses`` maps the words to responses for
-both the single-trial and the batch path.
+advances in 4-word blocks. ``_responses`` maps the words to responses;
+``trial.py``'s own reduction and two-stage procedure take it from there.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coverage import PIVOT_PRETEST_CORR
 from .errors import DomainError, _checked_int
+# Nothing here calls std_normal_quantile; the binding stays because the
+# benchmark's tracer (perfbench/spans.py) wraps simulate.std_normal_quantile.
 from .normal import std_normal_inverse_cdf, std_normal_quantile
 from .trial import (
     ModelParams,
     SubjectResponses,
     TrialDesign,
     TwoStageConfig,
+    _period_differences,
+    _two_stage_rule,
     carryover_effect_estimate,
-    carryover_scale,
     pooled_effect_estimate,
-    pooled_half_width,
     robust_effect_estimate,
-    robust_half_width,
 )
 
 #: Philox keys are unsigned 64-bit integers.
@@ -147,14 +151,13 @@ def _padded_draws_per_rep(design: TrialDesign) -> int:
     return -(-b // 4) * 4
 
 
-def replication_stream(seed: int, rep_index: int,
-                       design: TrialDesign) -> np.random.Generator:
-    """Generator positioned at replication rep_index's private counter slice."""
-    seed = _checked_int("seed", seed, 0, _SEED_LIMIT)
-    rep_index = _checked_int("rep_index", rep_index, 0)
+def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:
+    """The words of replications [start, start + count), one unpadded row each."""
+    b = _draws_per_rep(design)
+    b_pad = _padded_draws_per_rep(design)
     bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(rep_index * _padded_draws_per_rep(design) // 4)
-    return np.random.Generator(bit_gen)
+    bit_gen.advance(start * b_pad // 4)
+    return bit_gen.random_raw(count * b_pad).reshape(count, b_pad)[:, :b]
 
 
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -202,15 +205,12 @@ def _responses(design: TrialDesign, params: ModelParams,
     return fixed1 + xi1[:, :, None] + eps1, fixed2 + xi2[:, :, None] + eps2
 
 
-def simulate_trial(design: TrialDesign, params: ModelParams,
-                   rng: np.random.Generator) -> SubjectResponses:
-    """Draw one complete trial at the subject level.
-
-    Consumes exactly ``5 * (n1 + n2)`` raw words from ``rng``'s bit
-    generator, laid out as in one replication of the batch engine.
-    """
-    raw = rng.bit_generator.random_raw(_draws_per_rep(design))
-    y1, y2 = _responses(design, params, raw[None, :])
+def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,
+                   rep_index: int) -> SubjectResponses:
+    """Replication rep_index of the run seeded with seed, drawn as in the batch engine."""
+    seed = _checked_int("seed", seed, 0, _SEED_LIMIT)
+    rep_index = _checked_int("rep_index", rep_index, 0)
+    y1, y2 = _responses(design, params, _raw_words(seed, rep_index, 1, design))
     return SubjectResponses(group1=y1[0], group2=y2[0])
 
 
@@ -223,31 +223,27 @@ def _auto_chunk(design: TrialDesign, replications: int) -> int:
     return max(1, min(replications, budget))
 
 
-def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> list[tuple[int, int]]:
-    """(start, count) of each chunk of the run; chunk_size None sizes them."""
+def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> Iterator[tuple[int, int]]:
+    """(start, count) of each chunk, made lazily; chunk_size None sizes them."""
     total = config.replications
     if chunk_size is None:
         size = _auto_chunk(config.design, total)
     else:
         size = _checked_int("chunk_size", chunk_size, 1)
-    return [(start, min(size, total - start)) for start in range(0, total, size)]
+    return ((start, min(size, total - start)) for start in range(0, total, size))
 
 
 def _batch_estimates(config: SimConfig, start: int, count: int):
     """Estimator triple for replications [start, start + count), vectorized.
 
-    Element-for-element identical to running simulate_trial,
-    reduce_responses and estimate_effects one replication at a time.
+    Element-for-element identical to running ``simulate_trial(design,
+    params, seed, rep_index)``, reduce_responses and estimate_effects on
+    each replication in turn.
     """
     design = config.design
-    b = _draws_per_rep(design)
-    b_pad = _padded_draws_per_rep(design)
-    bit_gen = np.random.Philox(key=config.seed)
-    bit_gen.advance(start * b_pad // 4)
-    raw = bit_gen.random_raw(count * b_pad).reshape(count, b_pad)[:, :b]
+    raw = _raw_words(config.seed, start, count, design)
     y1, y2 = _responses(design, config.params, raw)
-    d = y1.sum(axis=1) / design.n1 - y2.sum(axis=1) / design.n2
-    d1, d2, d3, d4 = d[:, 0], d[:, 1], d[:, 2], d[:, 3]
+    d1, d2, d3, d4 = _period_differences(design, y1, y2).T
     return (pooled_effect_estimate(d1, d2, d3, d4),
             robust_effect_estimate(d1, d2, d3, d4),
             carryover_effect_estimate(d1, d2, d3, d4))
@@ -261,22 +257,12 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
     difference. Deterministic given the config (including its seed) and
     independent of chunk_size, which only bounds working memory.
     """
-    design, params, ts = config.design, config.params, config.two_stage
-    theta = params.treatment_difference
-    scale = carryover_scale(design.m)
-    crit1 = std_normal_quantile(ts.alpha1)
-    hw_pooled = pooled_half_width(design.m, ts.alpha, ts.sigma_e)
-    hw_robust = robust_half_width(design.m, ts.alpha, ts.sigma_e)
+    theta = config.params.treatment_difference
+    rule = _two_stage_rule(config.design, config.two_stage)
     hits = 0
     accepts = 0
     for start, count in _chunk_bounds(config, chunk_size):
-        pooled, robust, carry = _batch_estimates(config, start, count)
-        stat = scale * carry / ts.sigma_e
-        accepted = np.abs(stat) < crit1
-        center = np.where(accepted, pooled, robust)
-        half_width = np.where(accepted, hw_pooled, hw_robust)
-        lo = center - half_width
-        hi = center + half_width
+        _, accepted, lo, hi = rule(*_batch_estimates(config, start, count))
         hits += int(np.count_nonzero((lo <= theta) & (theta <= hi)))
         accepts += int(np.count_nonzero(accepted))
     total = config.replications

@@ -130,6 +130,10 @@ class PeriodDifferences:
     d3: float
     d4: float
 
+    def __post_init__(self):
+        for name in ("d1", "d2", "d3", "d4"):
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name)))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.d1, self.d2, self.d3, self.d4])
 
@@ -183,8 +187,13 @@ def reduce_responses(design: TrialDesign, responses: SubjectResponses) -> Period
         raise DomainError(
             f"responses have groups of size {responses.group1.shape[0]} and "
             f"{responses.group2.shape[0]}; design says {design.n1} and {design.n2}")
-    d = responses.group1.sum(axis=0) / design.n1 - responses.group2.sum(axis=0) / design.n2
+    d = _period_differences(design, responses.group1, responses.group2)
     return PeriodDifferences(float(d[0]), float(d[1]), float(d[2]), float(d[3]))
+
+
+def _period_differences(design: TrialDesign, group1: np.ndarray, group2: np.ndarray):
+    """Period means of (..., n1, 4) minus (..., n2, 4); leading axes index trials."""
+    return group1.sum(axis=-2) / design.n1 - group2.sum(axis=-2) / design.n2
 
 
 def pooled_effect_estimate(d1, d2, d3, d4):
@@ -240,6 +249,23 @@ def robust_half_width(m: float, alpha: float, sigma_e: float) -> float:
     return std_normal_quantile(alpha) * math.sqrt(11.0 * m / 8.0) * sigma_e
 
 
+def _two_stage_rule(design: TrialDesign, config: TwoStageConfig):
+    """two_stage's (stat, accepted, lo, hi) from (pooled, robust, carryover) floats or arrays."""
+    scale = carryover_scale(design.m)
+    crit1 = std_normal_quantile(config.alpha1)
+    hw_pooled = pooled_half_width(design.m, config.alpha, config.sigma_e)
+    hw_robust = robust_half_width(design.m, config.alpha, config.sigma_e)
+
+    def rule(pooled, robust, carryover):
+        stat = scale * carryover / config.sigma_e
+        accepted = np.abs(stat) < crit1
+        center = np.where(accepted, pooled, robust)
+        half_width = np.where(accepted, hw_pooled, hw_robust)
+        return stat, accepted, center - half_width, center + half_width
+
+    return rule
+
+
 def two_stage(reduced: PeriodDifferences, design: TrialDesign,
               config: TwoStageConfig) -> TwoStageOutcome:
     """Run the pretest-then-estimate procedure on reduced data.
@@ -250,18 +276,6 @@ def two_stage(reduced: PeriodDifferences, design: TrialDesign,
     narrow interval around the pooled estimator, rejection the wide one
     around the robust estimator.
     """
-    est = estimate_effects(reduced)
-    stat = carryover_scale(design.m) * est.carryover_effect / config.sigma_e
-    accepted = abs(stat) < std_normal_quantile(config.alpha1)
-    if accepted:
-        center = est.pooled_effect
-        half_width = pooled_half_width(design.m, config.alpha, config.sigma_e)
-    else:
-        center = est.robust_effect
-        half_width = robust_half_width(design.m, config.alpha, config.sigma_e)
-    return TwoStageOutcome(
-        pretest_stat=stat,
-        h0_accepted=accepted,
-        interval_lo=center - half_width,
-        interval_hi=center + half_width,
-    )
+    stat, accepted, lo, hi = _two_stage_rule(design, config)(*estimate_effects(reduced))
+    return TwoStageOutcome(pretest_stat=float(stat), h0_accepted=bool(accepted),
+                           interval_lo=float(lo), interval_hi=float(hi))

@@ -163,6 +163,15 @@ class TestEfficiency:
         assert "crossover preferred: yes" in stdout
         assert "sigma_s2 >= 4.5 * sigma_e2: yes" in stdout
 
+    def test_both_verdict_lines_agree_at_rounded_boundary(self, capsys):
+        # sigma_s2 is exactly 4.5 * sigma_e2, but the two rounded variances
+        # put the randomized one below the crossover one.
+        assert main(["efficiency", "--sigma-s2", "34.254066711044835",
+                     "--sigma-e2", "7.61201482467663", "--n", "32"]) == 0
+        stdout = capsys.readouterr().out
+        assert "sigma_s2 >= 4.5 * sigma_e2: yes" in stdout
+        assert "crossover preferred: yes" in stdout
+
     def test_zero_subject_variance_ratio(self, capsys):
         assert main(["efficiency", "--sigma-s2", "0", "--n", "10"]) == 0
         stdout = capsys.readouterr().out

@@ -13,6 +13,7 @@ from crossover_coverage import (
     CoverageQuery,
     coverage_curve,
     coverage_probability,
+    efficiency_comparison,
     min_coverage,
     reject_cover_routes,
 )
@@ -82,3 +83,12 @@ def test_far_carryover_recovers_nominal(gamma, alpha1, alpha):
 def test_minimum_bounds_every_gamma(gamma, pair):
     # 1e-10 allows for the refinement stopping within 1e-6 of the argmin.
     assert search(*pair).min_coverage <= coverage(gamma, *pair) + 1e-10
+
+
+@examples
+@given(sigma_e2=st.floats(min_value=1e-100, max_value=1e100),
+       n=st.integers(min_value=1, max_value=10**9))
+def test_efficiency_verdict_at_threshold_for_every_n(sigma_e2, n):
+    # At sigma_s2 = 4.5 sigma_e2 exactly the crossover estimator is
+    # preferred, whatever n does to the rounding of the two variances.
+    assert efficiency_comparison(4.5 * sigma_e2, sigma_e2, n).crossover_preferred

@@ -1,6 +1,7 @@
 """Tests for the subject-level Monte Carlo simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,12 @@ from crossover_coverage import (
     estimate_effects,
     estimator_moments,
     reduce_responses,
-    replication_stream,
     scaled_carryover,
     simulate_trial,
     theoretical_moments,
     two_stage,
 )
-from crossover_coverage.simulate import _batch_estimates, _open_uniforms
+from crossover_coverage.simulate import _batch_estimates, _chunk_bounds, _open_uniforms
 
 
 def make_config(n1=2, n2=2, theta=0.7, psi=0.3, sigma_s2=1.0, sigma_e2=1.0,
@@ -45,28 +45,29 @@ class TestStreams:
     def test_same_seed_same_trial(self):
         design = TrialDesign(3, 4)
         params = ModelParams.from_effects(0.4, 0.9)
-        a = simulate_trial(design, params, replication_stream(7, 5, design))
-        b = simulate_trial(design, params, replication_stream(7, 5, design))
+        a = simulate_trial(design, params, 7, 5)
+        b = simulate_trial(design, params, 7, 5)
         assert np.array_equal(a.group1, b.group1)
         assert np.array_equal(a.group2, b.group2)
 
     def test_different_replications_differ(self):
         design = TrialDesign(3, 4)
         params = ModelParams.from_effects(0.4, 0.9)
-        a = simulate_trial(design, params, replication_stream(7, 0, design))
-        b = simulate_trial(design, params, replication_stream(7, 1, design))
+        a = simulate_trial(design, params, 7, 0)
+        b = simulate_trial(design, params, 7, 1)
         assert not np.array_equal(a.group1, b.group1)
 
     def test_seed_validation(self):
         design = TrialDesign(2, 2)
+        params = ModelParams()
         with pytest.raises(DomainError):
-            replication_stream(-1, 0, design)
+            simulate_trial(design, params, -1, 0)
         with pytest.raises(DomainError):
-            replication_stream(2**64, 0, design)
+            simulate_trial(design, params, 2**64, 0)
         with pytest.raises(DomainError):
-            replication_stream(True, 0, design)
+            simulate_trial(design, params, True, 0)
         with pytest.raises(DomainError):
-            replication_stream(3, -1, design)
+            simulate_trial(design, params, 3, -1)
 
 
 class TestSimulateTrial:
@@ -76,8 +77,8 @@ class TestSimulateTrial:
                            carryover_a=0.0, carryover_b=0.0)
         moved = ModelParams(treatment_a=0.7, treatment_b=-0.2,
                             carryover_a=5.0, carryover_b=-3.0)
-        a = simulate_trial(design, base, replication_stream(11, 0, design))
-        b = simulate_trial(design, moved, replication_stream(11, 0, design))
+        a = simulate_trial(design, base, 11, 0)
+        b = simulate_trial(design, moved, 11, 0)
         assert np.array_equal(a.group1[:, 0], b.group1[:, 0])
         assert np.array_equal(a.group2[:, 0], b.group2[:, 0])
         assert not np.array_equal(a.group1[:, 1], b.group1[:, 1])
@@ -90,7 +91,7 @@ class TestSimulateTrial:
         theta, psi = 0.7, 0.3
         params = ModelParams.from_effects(theta, psi, between_subject_var=0.0,
                                           error_var=1e-300)
-        responses = simulate_trial(design, params, replication_stream(1, 0, design))
+        responses = simulate_trial(design, params, 1, 0)
         reduced = reduce_responses(design, responses)
         expected = [theta, -theta + 4.0 * psi / 3.0, theta - 4.0 * psi / 3.0,
                     -theta + 4.0 * psi / 3.0]
@@ -101,7 +102,7 @@ class TestSimulateTrial:
         params = ModelParams.from_effects(1.0, 0.75, between_subject_var=0.0,
                                           error_var=1e-300)
         reduced = reduce_responses(
-            design, simulate_trial(design, params, replication_stream(2, 0, design)))
+            design, simulate_trial(design, params, 2, 0))
         est = estimate_effects(reduced)
         assert abs(est.pooled_effect - 0.25) < 1e-140
         assert abs(est.robust_effect - 1.0) < 1e-140
@@ -115,8 +116,7 @@ class TestBatchEngine:
         batch = np.column_stack(_batch_estimates(config, 0, 150))
         design, params = config.design, config.params
         for r in range(150):
-            rng = replication_stream(33, r, design)
-            reduced = reduce_responses(design, simulate_trial(design, params, rng))
+            reduced = reduce_responses(design, simulate_trial(design, params, 33, r))
             est = estimate_effects(reduced)
             assert batch[r, 0] == est.pooled_effect
             assert batch[r, 1] == est.robust_effect
@@ -128,9 +128,8 @@ class TestBatchEngine:
         theta = config.params.treatment_difference
         hits = accepts = 0
         for r in range(300):
-            rng = replication_stream(5, r, config.design)
             reduced = reduce_responses(
-                config.design, simulate_trial(config.design, config.params, rng))
+                config.design, simulate_trial(config.design, config.params, 5, r))
             out = two_stage(reduced, config.design, config.two_stage)
             hits += out.interval_lo <= theta <= out.interval_hi
             accepts += out.h0_accepted
@@ -149,6 +148,23 @@ class TestBatchEngine:
         config = make_config(replications=400, seed=10)
         assert estimator_moments(config, chunk_size=13) == \
             estimator_moments(config, chunk_size=400)
+
+    def test_chunks_are_produced_lazily(self):
+        # 1e8 replications make about half a million chunks; taking the
+        # first must not build the rest.
+        config = make_config(n1=8, n2=8, replications=10**8, seed=1)
+        tracemalloc.start()
+        try:
+            first = next(iter(_chunk_bounds(config, None)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == (0, 204)
+        assert peak < 2**20
+
+    def test_chunk_size_checked_before_any_chunk(self):
+        with pytest.raises(DomainError):
+            _chunk_bounds(make_config(replications=10), 0)
 
 
 class TestEmpiricalCoverage:
@@ -193,6 +209,24 @@ class TestEmpiricalCoverage:
         emp_b = empirical_coverage(config_b)
         gap = abs(emp_a.estimate - emp_b.estimate)
         assert gap <= 5.0 * math.hypot(emp_a.std_err, emp_b.std_err)
+
+
+class TestPinnedResults:
+    # Hits and accept rates of 20,000 replications at theta = 0.7,
+    # alpha1 = 0.1 and alpha = 0.05; two of the runs have sigma_e != 1.
+    # Every step from the raw words to the tally is bit-reproducible, so a
+    # change to the draws, the reduction or the two-stage rule that moves
+    # any decision shows here.
+    @pytest.mark.parametrize("n1,n2,psi,sigma_e2,seed,hits,accept_rate", [
+        (5, 10, 1.7, 2.5, 7, 11_313, 0.41965),
+        (8, 8, 0.3, 1.0, 1729, 15_569, 0.8468),
+        (1, 4, 0.0, 2.5, 0, 18_320, 0.9008),
+    ])
+    def test_hits_and_accept_rate(self, n1, n2, psi, sigma_e2, seed, hits, accept_rate):
+        config = make_config(n1=n1, n2=n2, psi=psi, sigma_e2=sigma_e2,
+                             replications=20_000, seed=seed)
+        emp = empirical_coverage(config)
+        assert (emp.hits, emp.accept_rate) == (hits, accept_rate)
 
 
 class TestNuisanceInvariance:

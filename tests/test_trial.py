@@ -18,7 +18,16 @@ from crossover_coverage import (
     std_normal_quantile,
     two_stage,
 )
-from crossover_coverage.trial import carryover_scale, pooled_half_width, robust_half_width
+from crossover_coverage.trial import (
+    _period_differences,
+    _two_stage_rule,
+    carryover_effect_estimate,
+    carryover_scale,
+    pooled_effect_estimate,
+    pooled_half_width,
+    robust_effect_estimate,
+    robust_half_width,
+)
 
 
 class TestTypes:
@@ -114,6 +123,19 @@ class TestReduce:
             design, SubjectResponses(base1 + shift, base2 + shift))
         assert np.allclose(plain.as_array(), shifted.as_array(), atol=1e-12)
 
+    def test_leading_trial_axes(self):
+        # A stack of trials reduces, row by row, to exactly what each
+        # trial reduces to on its own.
+        rng = np.random.default_rng(5)
+        design = TrialDesign(3, 5)
+        y1 = rng.normal(size=(6, 3, 4))
+        y2 = rng.normal(size=(6, 5, 4))
+        d = _period_differences(design, y1, y2)
+        assert d.shape == (6, 4)
+        for r in range(6):
+            one = reduce_responses(design, SubjectResponses(y1[r], y2[r]))
+            assert np.array_equal(d[r], one.as_array())
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             reduce_responses(TrialDesign(3, 3),
@@ -121,6 +143,14 @@ class TestReduce:
 
 
 class TestEstimates:
+    def test_differences_checked(self):
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                PeriodDifferences(bad, 0.0, 0.0, 0.0)
+        reduced = PeriodDifferences(*np.array([0.5, 1.0, 1.5, 2.0]))
+        assert all(type(v) is float
+                   for v in (reduced.d1, reduced.d2, reduced.d3, reduced.d4))
+
     def test_unit_first_difference(self):
         est = estimate_effects(PeriodDifferences(1.0, 0.0, 0.0, 0.0))
         assert est.pooled_effect == 0.25
@@ -181,6 +211,16 @@ class TestTwoStage:
         assert out.pretest_stat == crit
         assert not out.h0_accepted
 
+    def test_boundary_tie_rejects_at_non_unit_error_scale(self):
+        # An exact tie at sigma_e = sqrt(2.5). The statistic is
+        # scale * carryover / sigma_e; (scale / sigma_e) * carryover rounds
+        # one ulp away here, so this also pins the order of the arithmetic.
+        design = TrialDesign(3, 5)
+        config = TwoStageConfig(alpha1=0.1, alpha=0.05, sigma_e=math.sqrt(2.5))
+        out = two_stage(PeriodDifferences(2.686034725064894, 0.0, 0.0, 0.0), design, config)
+        assert out.pretest_stat == std_normal_quantile(0.1)
+        assert not out.h0_accepted
+
     def test_one_ulp_inside_accepts(self):
         design = TrialDesign(4, 4)
         config = TwoStageConfig(alpha1=0.1, alpha=0.05, sigma_e=1.0)
@@ -208,6 +248,29 @@ class TestTwoStage:
             width = out.interval_hi - out.interval_lo
             expected = hw_pooled if out.h0_accepted else hw_robust
             assert abs(width - 2.0 * expected) < 1e-12
+
+    def test_rule_on_arrays_matches_single_runs(self):
+        # The rule the simulator applies to whole chunks gives, element
+        # for element, the outcome of two_stage on each trial.
+        rng = np.random.default_rng(17)
+        design = TrialDesign(5, 3)
+        config = TwoStageConfig(alpha1=0.1, alpha=0.05, sigma_e=2.0)
+        d = rng.normal(scale=2.0, size=(4, 300))
+        stat, accepted, lo, hi = _two_stage_rule(design, config)(
+            pooled_effect_estimate(*d), robust_effect_estimate(*d),
+            carryover_effect_estimate(*d))
+        assert accepted.any() and not accepted.all()
+        for r, col in enumerate(d.T):
+            out = two_stage(PeriodDifferences(*col), design, config)
+            assert (out.pretest_stat, out.h0_accepted, out.interval_lo,
+                    out.interval_hi) == (stat[r], accepted[r], lo[r], hi[r])
+
+    def test_outcome_holds_python_scalars(self):
+        out = two_stage(PeriodDifferences(0.5, 0.0, 0.25, 0.0), TrialDesign(4, 4),
+                        TwoStageConfig(alpha1=0.1, alpha=0.05, sigma_e=1.0))
+        assert type(out.h0_accepted) is bool
+        assert all(type(v) is float
+                   for v in (out.pretest_stat, out.interval_lo, out.interval_hi))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ from crossover_coverage import (
     CoverageQuery,
     DomainError,
     ModelParams,
+    PeriodDifferences,
     SimConfig,
     TrialDesign,
     TwoStageConfig,
@@ -26,8 +27,8 @@ from crossover_coverage import (
     min_coverage,
     min_coverage_table,
     reject_cover_routes,
-    replication_stream,
     scaled_carryover,
+    simulate_trial,
     std_normal_inverse_cdf,
     std_normal_quantile,
 )
@@ -68,12 +69,13 @@ ENTRY_POINTS = [
     ("ModelParams.from_effects", ModelParams.from_effects,
      dict(treatment_difference=0.7, differential_carryover=0.3,
           between_subject_var=1.0, error_var=1.0, grand_mean=0.0)),
+    ("PeriodDifferences", PeriodDifferences, dict(d1=0.5, d2=-1.0, d3=0.25, d4=2.0)),
     ("TwoStageConfig", TwoStageConfig, dict(alpha1=0.1, alpha=0.05, sigma_e=1.0)),
     ("scaled_carryover", partial(scaled_carryover, design=DESIGN),
      dict(psi=0.3, sigma_e=1.0)),
     ("SimConfig.create", partial(SimConfig.create, DESIGN, PARAMS),
      dict(alpha1=0.1, alpha=0.05, replications=10, seed=3)),
-    ("replication_stream", partial(replication_stream, design=DESIGN),
+    ("simulate_trial", partial(simulate_trial, DESIGN, PARAMS),
      dict(seed=3, rep_index=2)),
     ("empirical_coverage", partial(empirical_coverage, CONFIG), dict(chunk_size=7)),
     ("estimator_moments", partial(estimator_moments, CONFIG), dict(chunk_size=7)),

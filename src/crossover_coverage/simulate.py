@@ -7,11 +7,12 @@ and two-stage procedure as real data, and tallies coverage.
 Reproducibility contract
 ------------------------
 Replication ``r`` of a run with seed ``s`` consumes a fixed-width slice of
-the counter space of a Philox stream keyed by ``s``. Results are therefore
-bit-identical regardless of chunking or evaluation order, and any single
-replication can be regenerated in isolation with
-``simulate_trial(design, params, seed, rep_index)``. Only ``_raw_words``
-positions and advances the stream.
+the counter space of a Philox stream keyed by ``s``. Hits are therefore
+bit-identical regardless of chunking or evaluation order. Moments fold
+over the automatic chunks, fixed by the design and replication count, and
+take no ``chunk_size``. Any single replication can be regenerated in
+isolation with ``simulate_trial(design, params, seed, rep_index)``. Only
+``_raw_words`` positions and advances the stream.
 
 Normal variates are ``std_normal_inverse_cdf`` (scipy's ``ndtri``) of
 open-interval uniforms built from the raw 64-bit words. Each replication
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import PIVOT_PRETEST_CORR
-from .errors import DomainError, _checked_int
+from .errors import DomainError, NumericalError, _checked_int
 # Nothing here calls std_normal_quantile; the binding stays because the
 # benchmark's tracer (perfbench/spans.py) wraps simulate.std_normal_quantile.
 from .normal import std_normal_inverse_cdf, std_normal_quantile
@@ -218,7 +219,7 @@ def _auto_chunk(design: TrialDesign, replications: int) -> int:
     # At most 16,384 words per chunk keeps each float64 temporary within
     # 128 KiB, the C allocator's default threshold for mapping fresh pages,
     # so successive chunks reuse the same heap memory instead of faulting
-    # new pages in. Hits do not depend on the chunk size.
+    # new pages in. Hits are chunk-independent; moments fold over these chunks.
     budget = 16_384 // _padded_draws_per_rep(design)
     return max(1, min(replications, budget))
 
@@ -238,15 +239,18 @@ def _batch_estimates(config: SimConfig, start: int, count: int):
 
     Element-for-element identical to running ``simulate_trial(design,
     params, seed, rep_index)``, reduce_responses and estimate_effects on
-    each replication in turn.
+    each replication in turn. Raises ``NumericalError`` on a non-finite one.
     """
     design = config.design
     raw = _raw_words(config.seed, start, count, design)
     y1, y2 = _responses(design, config.params, raw)
     d1, d2, d3, d4 = _period_differences(design, y1, y2).T
-    return (pooled_effect_estimate(d1, d2, d3, d4),
-            robust_effect_estimate(d1, d2, d3, d4),
-            carryover_effect_estimate(d1, d2, d3, d4))
+    estimates = (pooled_effect_estimate(d1, d2, d3, d4),
+                 robust_effect_estimate(d1, d2, d3, d4),
+                 carryover_effect_estimate(d1, d2, d3, d4))
+    if not np.isfinite(estimates).all():
+        raise NumericalError(f"non-finite estimate in replications [{start}, {start + count})")
+    return estimates
 
 
 def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> EmpiricalCoverage:
@@ -272,22 +276,26 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
                              std_err=std_err, accept_rate=accepts / total)
 
 
-def estimator_moments(config: SimConfig, *, chunk_size: int | None = None) -> EstimatorMoments:
+def estimator_moments(config: SimConfig) -> EstimatorMoments:
     """Sample moments of the three estimators over a simulation run.
 
     Variances and covariances use the n - 1 divisor (n when the run has a
-    single replication). Moments are computed once over the assembled
-    per-replication values, so they too are independent of chunk_size;
-    ``theoretical_moments`` gives their exact counterparts.
+    single replication). Each automatic chunk's means and co-moments are
+    merged into running totals in replication order (Chan's update), so
+    memory stays flat. ``theoretical_moments`` gives their exact counterparts.
     """
-    parts = [_batch_estimates(config, start, count)
-             for start, count in _chunk_bounds(config, chunk_size)]
-    samples = np.concatenate(parts, axis=1)  # rows: pooled, robust, carryover
-    ddof = 1 if config.replications > 1 else 0
-    cov = np.cov(samples, ddof=ddof)
+    n = 0
+    mean = np.zeros(3)  # pooled, robust, carryover
+    comoment = np.zeros((3, 3))  # sums of products of deviations from mean
+    for start, count in _chunk_bounds(config, None):
+        x = np.stack(_batch_estimates(config, start, count))
+        delta = x.mean(axis=1) - mean
+        n += count
+        mean += delta * (count / n)
+        comoment += count * (np.cov(x, ddof=0) + np.outer(delta, delta) * ((n - count) / n))
+    cov = comoment / (n - 1 if n > 1 else n)
     var_r, var_c, cov_rc = float(cov[1, 1]), float(cov[2, 2]), float(cov[1, 2])
     corr = cov_rc / math.sqrt(var_r * var_c) if var_r > 0.0 and var_c > 0.0 else math.nan
-    mean = samples.mean(axis=1)
     return EstimatorMoments(
         mean_pooled=float(mean[0]),
         mean_robust=float(mean[1]),

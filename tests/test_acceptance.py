@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-report. The Monte Carlo criteria use a million replications each and take
-a couple of minutes in total.
+report. The Monte Carlo criteria (4, 5, 6 and 8) simulate up to a million
+replications per run and take about 20 s together on a 2-vCPU machine
+(criteria 6, 4, 8 and 5: 8.4, 7.7, 2.9 and 0.7 s).
 """
 
 import math

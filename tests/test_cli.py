@@ -154,6 +154,14 @@ class TestSimulate:
         code = main(["simulate", "--sigma-e2", "-1", "--reps", "10"])
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_a_numerical_failure(self, capsys):
+        # NaN estimates must not be tallied as misses and reported as FAIL.
+        assert main(["simulate", "--theta", "1e308", "--reps", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert "numerical failure:" in err
+        assert "result:" not in out
+
 
 class TestEfficiency:
     def test_boundary_equality(self, capsys):

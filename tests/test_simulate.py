@@ -10,6 +10,7 @@ from crossover_coverage import (
     CoverageQuery,
     DomainError,
     ModelParams,
+    NumericalError,
     SimConfig,
     TrialDesign,
     TwoStageConfig,
@@ -23,7 +24,12 @@ from crossover_coverage import (
     theoretical_moments,
     two_stage,
 )
-from crossover_coverage.simulate import _batch_estimates, _chunk_bounds, _open_uniforms
+from crossover_coverage.simulate import (
+    _auto_chunk,
+    _batch_estimates,
+    _chunk_bounds,
+    _open_uniforms,
+)
 
 
 def make_config(n1=2, n2=2, theta=0.7, psi=0.3, sigma_s2=1.0, sigma_e2=1.0,
@@ -143,11 +149,6 @@ class TestBatchEngine:
         whole = empirical_coverage(config, chunk_size=500)
         auto = empirical_coverage(config)
         assert by_7 == by_128 == whole == auto
-
-    def test_moments_chunk_invariance(self):
-        config = make_config(replications=400, seed=10)
-        assert estimator_moments(config, chunk_size=13) == \
-            estimator_moments(config, chunk_size=400)
 
     def test_chunks_are_produced_lazily(self):
         # 1e8 replications make about half a million chunks; taking the
@@ -309,6 +310,44 @@ class TestEstimatorMoments:
             assert getattr(moments, field) == 0.0
         assert math.isnan(moments.corr_robust_carryover)
 
+    @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 10), (1, 4)])
+    def test_fold_matches_whole_sample(self, n1, n2):
+        # The chunked fold against np.cov over all the run's estimates at
+        # once, for runs ending inside, at and just past chunk boundaries.
+        size = _auto_chunk(TrialDesign(n1, n2), 10**9)
+        names = ("pooled", "robust", "carryover")
+        for n in (1, 2, size - 1, size, size + 1, 3 * size + 7):
+            config = make_config(n1=n1, n2=n2, sigma_s2=2.5, sigma_e2=0.4,
+                                 replications=n, seed=n)
+            moments = estimator_moments(config)
+            x = np.stack(_batch_estimates(config, 0, n))
+            cov = np.cov(x, ddof=1 if n > 1 else 0)
+            scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+            for i, name in enumerate(names):
+                mean = getattr(moments, f"mean_{name}")
+                if n == 1:
+                    assert mean == x[i, 0]
+                assert abs(mean - x[i].mean()) <= 1e-13 * math.sqrt(cov[i, i])
+            for (i, j), field in {(0, 0): "var_pooled", (1, 1): "var_robust",
+                                  (2, 2): "var_carryover",
+                                  (0, 2): "cov_pooled_carryover",
+                                  (1, 2): "cov_robust_carryover"}.items():
+                assert abs(getattr(moments, field) - cov[i, j]) <= 1e-13 * scale[i, j]
+            if n > 1:
+                corr = cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])
+                assert abs(moments.corr_robust_carryover - corr) <= 1e-13
+
+    def test_memory_flat_in_replications(self):
+        # The estimates are folded chunk by chunk, never all held at once.
+        config = make_config(n1=8, n2=8, replications=400_000, seed=3)
+        tracemalloc.start()
+        try:
+            estimator_moments(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_theoretical_moments_values(self):
         design = TrialDesign(8, 8)
         params = ModelParams.from_effects(0.7, 0.3, error_var=2.0)
@@ -330,13 +369,21 @@ class TestConfigValidation:
             SimConfig(design, params, TwoStageConfig(0.1, 0.05, 1.0), 10, 0)
         SimConfig(design, params, TwoStageConfig(0.1, 0.05, 2.0), 10, 0)
 
-    @pytest.mark.parametrize("run", [empirical_coverage, estimator_moments])
+    @pytest.mark.parametrize("run", [empirical_coverage])
     def test_chunk_size_positive(self, run):
         # Only None selects automatic chunking; 0 is an error, not a default.
         config = make_config(replications=50, seed=4)
         with pytest.raises(DomainError):
             run(config, chunk_size=0)
         assert run(config, chunk_size=None) == run(config, chunk_size=50)
+
+    @pytest.mark.parametrize("run", [empirical_coverage, estimator_moments])
+    def test_overflow_raises(self, run):
+        # Effects this large overflow the responses; NaN estimates must not
+        # be tallied as misses or averaged into moments.
+        config = make_config(theta=1e308, replications=10)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"\[0, 10\)"):
+            run(config)
 
     def test_replications_positive(self):
         with pytest.raises(DomainError):

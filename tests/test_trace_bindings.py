@@ -30,12 +30,16 @@ cc.coverage_curve(0.1, 0.05, -1.0, 1.0, 5)
 cc.min_coverage_table([0.1], [0.05])
 cli.reject_cover_routes(0.5, 0.1, 0.05)
 params = cc.ModelParams.from_effects(0.7, 0.3, between_subject_var=1.0, error_var=1.0)
-cc.empirical_coverage(cc.SimConfig.create(cc.TrialDesign(8, 8), params, 0.1, 0.05, 100, 1))
+config = cc.SimConfig.create(cc.TrialDesign(8, 8), params, 0.1, 0.05, 100, 1)
+cc.empirical_coverage(config)
+cli.empirical_coverage(config)
+cli.estimator_moments(config)
 print(json.dumps(layer_metrics(tracer.take())))
 """
 
 COUNTED = ("coverage.evals", "coverage.quad_calls", "bivariate.rect_calls",
-           "normal.quantile_calls", "simulate.raw_words", "simulate.chunks")
+           "normal.quantile_calls", "simulate.raw_words", "simulate.chunks",
+           "cli.mc_s", "cli.moments_s")
 
 
 def test_tracer_counts_every_layer():

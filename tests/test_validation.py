@@ -23,7 +23,6 @@ from crossover_coverage import (
     coverage_probability,
     efficiency_comparison,
     empirical_coverage,
-    estimator_moments,
     min_coverage,
     min_coverage_table,
     reject_cover_routes,
@@ -78,7 +77,6 @@ ENTRY_POINTS = [
     ("simulate_trial", partial(simulate_trial, DESIGN, PARAMS),
      dict(seed=3, rep_index=2)),
     ("empirical_coverage", partial(empirical_coverage, CONFIG), dict(chunk_size=7)),
-    ("estimator_moments", partial(estimator_moments, CONFIG), dict(chunk_size=7)),
 ]
 
 ARGUMENTS = [pytest.param(fn, kwargs, arg, id=f"{name}-{arg}")

@@ -20,6 +20,7 @@ parameters, seed, version and timestamp.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -49,17 +50,12 @@ from .trial import ModelParams, TrialDesign, scaled_carryover
 _Z_GATE = 3.5  # |z| gate for analytic-vs-empirical checks (~0.05% false alarms)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    # csv writes floats with repr, so they round-trip exactly.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_manifest(csv_path: str, command: str, parameters: dict,
@@ -91,8 +87,7 @@ def _dedupe(values: list[float], name: str) -> list[float]:
 def cmd_coverage_curve(args) -> int:
     points = coverage_curve(args.alpha1, args.alpha, args.gamma_min,
                             args.gamma_max, args.steps)
-    _write_csv(args.out, ["gamma", "coverage"],
-               [(p.gamma, p.coverage) for p in points])
+    _write_csv(args.out, ["gamma", "coverage"], points)
     _write_manifest(args.out, "coverage-curve", {
         "alpha1": args.alpha1, "alpha": args.alpha,
         "gamma_min": args.gamma_min, "gamma_max": args.gamma_max,

@@ -64,8 +64,7 @@ _QUAD_REQUEST = 1e-12
 #: Maximum tolerated gap between the two evaluation routes.
 ROUTE_AGREEMENT_TOL = 5e-9
 
-#: The minimum search's grid (upper end and step) and refinement tolerance.
-_SEARCH_GAMMA_MAX = 20.0
+#: The minimum search's grid step and refinement tolerance.
 _SEARCH_GRID_STEP = 0.01
 _SEARCH_XATOL = 1e-6
 
@@ -286,13 +285,19 @@ def min_coverage(alpha1: float, alpha: float) -> MinCoverageReport:
     """Minimum coverage probability over gamma, with its location.
 
     Coverage is symmetric in gamma, so only the nonnegative half-line is
-    searched: a grid of step 0.01 on [0, 20] (to guard against multiple
-    local minima), evaluated as arrays like coverage_curve, then scipy's
-    bounded Brent minimizer inside the cell around the best grid point, to
-    1e-6 in gamma, on the scalar path of coverage_probability. The best
-    grid value is kept if the refinement does not beat it. Beyond
-    gamma = 20 both gamma-dependent terms are indistinguishable from their
-    limits, so nothing can hide out there.
+    searched: a grid of step 0.01 on [0, c1 + 9], c1 = Phi^-1(1 - alpha1/2)
+    (to guard against multiple local minima), evaluated as arrays like
+    coverage_curve, then scipy's bounded Brent minimizer inside the cell
+    around the best grid point, to 1e-6 in gamma, on the scalar path of
+    coverage_probability. The best grid value is kept if the refinement
+    does not beat it.
+
+    Nothing hides beyond the grid. Write C = A*P + R, with A the
+    accept probability, P the pooled coverage and R = (1 - alpha) -
+    P(robust covers, accept); A*P and P(robust covers, accept) lie in
+    [0, A]. So |C(gamma) - (1 - alpha)| <= A <= Phi(c1 - gamma) <= Phi(-9)
+    < 1.2e-19 for gamma >= c1 + 9, and the infimum over [0, inf) is within
+    2.4e-19 of the minimum over [0, c1 + 9]; the grid reaches c1 + 9.
     """
     alpha1 = _checked_real("alpha1", alpha1, level=True)
     alpha = _checked_real("alpha", alpha, level=True)
@@ -302,8 +307,7 @@ def min_coverage(alpha1: float, alpha: float) -> MinCoverageReport:
     def f(g: float) -> float:
         return _coverage_value(g, alpha, c1, c)[0]
 
-    grid = np.arange(0.0, _SEARCH_GAMMA_MAX + 0.5 * _SEARCH_GRID_STEP,
-                     _SEARCH_GRID_STEP)
+    grid = np.arange(0.0, c1 + 9.0 + _SEARCH_GRID_STEP, _SEARCH_GRID_STEP)
     values = _coverage_grid(grid, alpha, c1, c)
     i = int(np.argmin(values))
     lo = float(grid[max(i - 1, 0)])
@@ -338,12 +342,8 @@ def efficiency_comparison(sigma_s2: float, sigma_e2: float,
     tested as such: the two rounded variances can disagree at the boundary.
     """
     n = _checked_int("n", n, 1)
-    sigma_e2 = _checked_real("sigma_e2", sigma_e2)
-    sigma_s2 = _checked_real("sigma_s2", sigma_s2)
-    if sigma_e2 <= 0.0:
-        raise DomainError("sigma_e2 must be positive")
-    if sigma_s2 < 0.0:
-        raise DomainError("sigma_s2 must be nonnegative")
+    sigma_e2 = _checked_real("sigma_e2", sigma_e2, sign="positive")
+    sigma_s2 = _checked_real("sigma_s2", sigma_s2, sign="nonnegative")
     var_robust = 11.0 * sigma_e2 / (4.0 * n)
     var_randomized = (sigma_e2 + sigma_s2) / (2.0 * n)
     return EfficiencyComparison(

@@ -53,10 +53,11 @@ def _checked_int(name: str, value, minimum: int, below: int | None = None) -> in
 
 
 def _checked_real(name: str, value, *, level: bool = False,
-                  infinite: bool = False) -> float:
+                  infinite: bool = False, sign: str | None = None) -> float:
     """``value`` as a finite float; with ``level``, strictly inside (0, 1).
 
-    With ``infinite``, +/-inf are admitted too; NaN never is.
+    With ``infinite``, +/-inf are admitted too; NaN never is. ``sign`` is
+    "positive" (above 0) or "nonnegative" (at least 0, so -0.0 passes).
     """
     # A plain float skips the slow ABC check: bvn_rectangle runs this on
     # every coverage evaluation.
@@ -69,6 +70,8 @@ def _checked_real(name: str, value, *, level: bool = False,
                           f"got {value!r}")
     if level and not 0.0 < value < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+    if sign is not None and not (value > 0.0 if sign == "positive" else value >= 0.0):
+        raise DomainError(f"{name} must be {sign}, got {value!r}")
     return value
 
 

@@ -243,11 +243,13 @@ def _batch_estimates(config: SimConfig, start: int, count: int):
     """
     design = config.design
     raw = _raw_words(config.seed, start, count, design)
-    y1, y2 = _responses(design, config.params, raw)
-    d1, d2, d3, d4 = _period_differences(design, y1, y2).T
-    estimates = (pooled_effect_estimate(d1, d2, d3, d4),
-                 robust_effect_estimate(d1, d2, d3, d4),
-                 carryover_effect_estimate(d1, d2, d3, d4))
+    # Overflow would only warn; the check below reports it instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y1, y2 = _responses(design, config.params, raw)
+        d1, d2, d3, d4 = _period_differences(design, y1, y2).T
+        estimates = (pooled_effect_estimate(d1, d2, d3, d4),
+                     robust_effect_estimate(d1, d2, d3, d4),
+                     carryover_effect_estimate(d1, d2, d3, d4))
     if not np.isfinite(estimates).all():
         raise NumericalError(f"non-finite estimate in replications [{start}, {start + count})")
     return estimates

@@ -68,12 +68,12 @@ class ModelParams:
             _checked_real("period_effects", v)
             for v in _checked_items("period_effects", self.period_effects, 4)))
         for name in ("grand_mean", "treatment_a", "treatment_b", "carryover_a",
-                     "carryover_b", "between_subject_var", "error_var"):
+                     "carryover_b"):
             object.__setattr__(self, name, _checked_real(name, getattr(self, name)))
-        if self.error_var <= 0.0:
-            raise DomainError("error_var must be positive")
-        if self.between_subject_var < 0.0:
-            raise DomainError("between_subject_var must be nonnegative")
+        object.__setattr__(self, "between_subject_var", _checked_real(
+            "between_subject_var", self.between_subject_var, sign="nonnegative"))
+        object.__setattr__(self, "error_var", _checked_real(
+            "error_var", self.error_var, sign="positive"))
 
     @property
     def treatment_difference(self) -> float:
@@ -150,9 +150,8 @@ class TwoStageConfig:
         for name in ("alpha1", "alpha"):
             object.__setattr__(self, name,
                                _checked_real(name, getattr(self, name), level=True))
-        object.__setattr__(self, "sigma_e", _checked_real("sigma_e", self.sigma_e))
-        if self.sigma_e <= 0.0:
-            raise DomainError("sigma_e must be positive")
+        object.__setattr__(self, "sigma_e",
+                           _checked_real("sigma_e", self.sigma_e, sign="positive"))
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,7 @@ def scaled_carryover(psi: float, design: TrialDesign, sigma_e: float) -> float:
     This single dimensionless parameter is all the coverage probability of
     the two-stage interval depends on.
     """
-    sigma_e = _checked_real("sigma_e", sigma_e)
-    if sigma_e <= 0.0:
-        raise DomainError("sigma_e must be positive")
+    sigma_e = _checked_real("sigma_e", sigma_e, sign="positive")
     psi = _checked_real("psi", psi)
     return carryover_scale(design.m) * psi / sigma_e
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,13 +158,25 @@ class TestSimulate:
         code = main(["simulate", "--sigma-e2", "-1", "--reps", "10"])
         assert code == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_a_numerical_failure(self, capsys):
         # NaN estimates must not be tallied as misses and reported as FAIL.
         assert main(["simulate", "--theta", "1e308", "--reps", "10"]) == 1
         out, err = capsys.readouterr()
         assert "numerical failure:" in err
         assert "result:" not in out
+
+    def test_overflow_prints_no_numpy_warning(self):
+        # Under -W error a warning would end the run with a traceback.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "crossover_coverage", "simulate",
+             "--theta", "1e308", "--reps", "10"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert result.stderr.startswith("numerical failure:")
+        assert "RuntimeWarning" not in result.stderr
 
 
 class TestEfficiency:

@@ -338,6 +338,13 @@ class TestMinCoverage:
             assert report.min_coverage <= at_zero
             assert report.min_coverage <= 1.0 - alpha
 
+    def test_search_reaches_minimum_beyond_gamma_20(self):
+        # With levels this small the coverage falls to 0 near gamma = 21.4,
+        # past the end of a fixed [0, 20] scan.
+        report = min_coverage(1e-300, 1e-300)
+        at_21_4 = coverage_probability(CoverageQuery(21.4, 1e-300, 1e-300)).value
+        assert report.min_coverage <= at_21_4 + 1e-10
+
 
 class TestMinCoverageTable:
     def test_default_grid_far_below_nominal(self):

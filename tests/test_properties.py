@@ -1,10 +1,12 @@
 """Property-based invariants of the coverage engine over the whole level domain.
 
-Levels range over [1e-12, 1 - 1e-6] and gamma over [-1e8, 1e8]. Runs are
-derandomized, so the suite draws the same examples every time.
+Levels range over [1e-12, 1 - 1e-6] and gamma over [-1e8, 1e8]; the tail
+bound draws levels down to 1e-300. Runs are derandomized, so the suite
+draws the same examples every time.
 """
 
 import functools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +18,17 @@ from crossover_coverage import (
     efficiency_comparison,
     min_coverage,
     reject_cover_routes,
+    std_normal_quantile,
 )
 from crossover_coverage.coverage import ROUTE_AGREEMENT_TOL
 
 levels = st.floats(min_value=1e-12, max_value=1.0 - 1e-6)
 gammas = st.floats(min_value=-1e8, max_value=1e8)
 # The minimum search is slow, so it runs for a few fixed level pairs only.
-SEARCH_LEVELS = [(0.1, 0.05), (0.01, 0.1), (0.2, 0.01)]
+SEARCH_LEVELS = [(0.1, 0.05), (0.01, 0.1), (0.2, 0.01), (1e-300, 1e-300)]
+# Log-uniform over [1e-300, 1 - 1e-6].
+tiny_levels = st.floats(min_value=math.log(1e-300),
+                        max_value=math.log1p(-1e-6)).map(math.exp)
 
 examples = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -76,6 +82,15 @@ def test_far_carryover_recovers_nominal(gamma, alpha1, alpha):
     # The pretest then always rejects, and the robust interval is exact.
     for signed in (gamma, -gamma):
         assert abs(coverage(signed, alpha1, alpha) - (1.0 - alpha)) <= 1e-9
+
+
+@examples
+@given(excess=st.floats(min_value=0.0, max_value=1e8), alpha1=tiny_levels,
+       alpha=tiny_levels)
+def test_tail_beyond_search_range_is_nominal(excess, alpha1, alpha):
+    # min_coverage scans [0, c1 + 9]: past it |C - (1 - alpha)| <= Phi(-9).
+    gamma = std_normal_quantile(alpha1) + 9.0 + excess
+    assert abs(coverage(gamma, alpha1, alpha) - (1.0 - alpha)) <= 1e-15
 
 
 @examples

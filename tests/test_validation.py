@@ -112,3 +112,28 @@ def test_levels_kept_in_double_precision():
                                         config.seed))
     report = min_coverage(level, 0.05)
     assert type(report.alpha1) is float
+
+
+# (id, callable of the one signed argument, its sign rule)
+SIGNED = [
+    ("ModelParams-error_var", lambda v: ModelParams(error_var=v), "positive"),
+    ("ModelParams-between_subject_var",
+     lambda v: ModelParams(between_subject_var=v), "nonnegative"),
+    ("TwoStageConfig-sigma_e", lambda v: TwoStageConfig(0.1, 0.05, v), "positive"),
+    ("scaled_carryover-sigma_e", lambda v: scaled_carryover(0.3, DESIGN, v), "positive"),
+    ("efficiency_comparison-sigma_e2",
+     lambda v: efficiency_comparison(1.0, v, 10), "positive"),
+    ("efficiency_comparison-sigma_s2",
+     lambda v: efficiency_comparison(v, 1.0, 10), "nonnegative"),
+]
+
+
+@pytest.mark.parametrize("fn,sign", [pytest.param(fn, sign, id=name)
+                                     for name, fn, sign in SIGNED])
+def test_sign_rules(fn, sign):
+    zeros = (0.0, -0.0)
+    for bad in (-1.0, -5e-324) + (zeros if sign == "positive" else ()):
+        with pytest.raises(DomainError, match=f"must be {sign}"):
+            fn(bad)
+    for good in (5e-324, 1.0) + (zeros if sign == "nonnegative" else ()):
+        fn(good)

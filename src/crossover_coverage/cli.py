@@ -37,7 +37,7 @@ from .coverage import (
     min_coverage_table,
     reject_cover_routes,
 )
-from .errors import DomainError, NumericalError, _checked_int
+from .errors import DomainError, NumericalError, RouteDisagreementError, _checked_int
 from .simulate import (
     EstimatorMoments,
     SimConfig,
@@ -180,8 +180,12 @@ def cmd_validate(args) -> int:
     for g in gammas:
         for a1 in levels1:
             for a in levels:
-                via_bvn, via_quad, _ = reject_cover_routes(g, a1, a)
-                max_gap = max(max_gap, abs(via_bvn - via_quad))
+                try:
+                    via_bvn, via_quad, _ = reject_cover_routes(g, a1, a)
+                    gap = abs(via_bvn - via_quad)
+                except RouteDisagreementError as exc:  # a failed check, not a crash
+                    gap = math.inf if math.isnan(exc.err_bound) else exc.err_bound
+                max_gap = max(max_gap, gap)
     _check("route agreement", max_gap <= ROUTE_AGREEMENT_TOL,
            f"max gap {max_gap:.3e} over {len(gammas) * len(levels1) * len(levels)} "
            f"triples (tol {ROUTE_AGREEMENT_TOL:.0e})", failures)

@@ -1,11 +1,11 @@
 """Standard-normal primitives: quantiles, and the engine's density and cdf.
 
-Both public quantiles accept a float or a numpy array and return the
-matching kind. Inputs containing NaN are rejected with ``DomainError``
-rather than propagated, because a silent NaN would corrupt the coverage
-integrals downstream. The private ``_pdf``, ``_cdf`` and ``_cdf_array``
-are the unchecked kernels the coverage engine integrates; Phi(x) there is
-``0.5 * erfc(-x / sqrt(2))``, accurate to a few ulp everywhere.
+The inverse cdf takes a float or a numpy array and returns the same kind,
+the two-sided quantile a real number only. NaN is rejected with
+``DomainError`` rather than propagated, because a silent NaN would corrupt
+the coverage integrals downstream. The private ``_pdf``, ``_cdf`` and
+``_cdf_array`` are the unchecked kernels the coverage engine integrates;
+Phi(x) there is ``0.5 * erfc(-x / sqrt(2))``, accurate to a few ulp everywhere.
 
 The quantile is ``scipy.special.ndtri`` on the lower half of (0, 1),
 reflected for p > 0.5, so ``Phi^-1(1 - p) == -Phi^-1(p)`` holds exactly
@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, _checked_real
 
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -69,24 +69,20 @@ def std_normal_quantile(a):
 
     Parameters
     ----------
-    a : float or array_like
-        Significance level(s), each strictly inside (0, 1).
+    a : float
+        Significance level, a real number strictly inside (0, 1).
 
     Returns
     -------
-    float or numpy.ndarray
-        Positive c such that Phi(c) - Phi(-c) is within 1e-10 of
-        ``1 - a``.
+    float
+        Positive c such that Phi(c) - Phi(-c) is within 1e-10 of ``1 - a``.
     """
-    arr, scalar = _as_float_array(a, "a")
-    # a/2 is an exact halving, so no precision is lost entering the tail,
-    # except below the smallest subnormal, where it underflows to 0.
-    half = arr / 2.0
-    if not ((half > 0.0) & (arr < 1.0)).all():
-        raise DomainError("a must lie strictly inside (0, 1)")
-    # half < 0.5, so the inverse cdf's reflection is never needed.
-    out = -special.ndtri(half)
-    return float(out) if scalar else out
+    a = _checked_real("a", a, level=True)
+    # a/2 is an exact halving, so no precision is lost entering the tail.
+    if a / 2.0 == 0.0:
+        raise DomainError(f"a must be at least 1e-323, or its half underflows; got {a!r}")
+    # a/2 < 0.5, so the inverse cdf's reflection is never needed.
+    return -float(special.ndtri(a / 2.0))
 
 
 def _cdf(x):

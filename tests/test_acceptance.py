@@ -16,7 +16,6 @@ from crossover_coverage import (
     ModelParams,
     SimConfig,
     TrialDesign,
-    TwoStageConfig,
     coverage_curve,
     coverage_probability,
     efficiency_comparison,
@@ -139,9 +138,8 @@ def test_criterion_6_nuisance_and_design_invariance():
     plain = ModelParams(**kwargs)
     shifted = ModelParams(grand_mean=3.7,
                           period_effects=(0.5, -1.25, 2.0, 3.75), **kwargs)
-    cfg = TwoStageConfig(0.1, 0.05, 1.0)
-    emp_plain = empirical_coverage(SimConfig(design, plain, cfg, 200_000, 77))
-    emp_shift = empirical_coverage(SimConfig(design, shifted, cfg, 200_000, 77))
+    emp_plain = empirical_coverage(SimConfig(design, plain, 0.1, 0.05, 200_000, 77))
+    emp_shift = empirical_coverage(SimConfig(design, shifted, 0.1, 0.05, 200_000, 77))
     assert emp_plain == emp_shift
 
     # (b) same gamma from different (n, subject variance) parameterizations:

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from crossover_coverage import CoverageQuery, coverage_probability
+from crossover_coverage import CoverageQuery, RouteDisagreementError, coverage_probability
 from crossover_coverage.cli import main
 
+import crossover_coverage.cli
 import crossover_coverage.simulate
 
 
@@ -154,6 +155,14 @@ class TestSimulate:
         gap = abs(emp[0][0] - emp[1][0])
         assert gap <= 5.0 * math.hypot(emp[0][1], emp[1][1])
 
+    def test_every_replication_hitting_is_no_failure(self, capsys):
+        # 20 hits out of 20 at coverage 0.914: z uses the expected coverage's
+        # standard error, not the sample's, which is 0 here.
+        assert main(["simulate", "--reps", "20", "--seed", "2"]) == 0
+        stdout = capsys.readouterr().out
+        assert "empirical coverage: 1.000000 +/- 0.000000" in stdout
+        assert "result: PASS" in stdout
+
     def test_bad_domain_exits_2(self, capsys):
         code = main(["simulate", "--sigma-e2", "-1", "--reps", "10"])
         assert code == 2
@@ -238,6 +247,21 @@ class TestValidate:
             lambda d1, d2, d3, d4: 0.3 * (d1 - d2 + d3 - d4))
         assert main(["validate", "--reps", "2000", "--seed", "1729"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_route_disagreement_is_a_failed_check(self, capsys, monkeypatch):
+        # The routes raise past their tolerance; validate reports that as
+        # one failed check and still runs the others.
+        def disagree(gamma, alpha1, alpha):
+            raise RouteDisagreementError("routes differ", estimate=0.5, err_bound=1e-6)
+
+        monkeypatch.setattr(crossover_coverage.cli, "reject_cover_routes", disagree)
+        assert main(["validate", "--reps", "2000", "--seed", "1729"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            "FAIL  route agreement: max gap 1.000e-06 over 45 triples")
+        assert len(lines) == 16
+        assert all(line.startswith("PASS  ") for line in lines[1:-1])
+        assert lines[-1] == "failures: 1"
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
-"""Every script in demos/ runs to completion against the current package."""
+"""Every script in demos/, and README's Python quickstart, runs against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +16,23 @@ def test_all_demos_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(script, tmp_path):
+def _run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # The working directory is tmp_path because demo 02 writes its CSV and PNG there.
-    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(script, tmp_path):
+    # The working directory is tmp_path because demo 02 writes its CSV and PNG there.
+    _run_python([str(script)], tmp_path)
+
+
+def test_readme_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    _run_python(["-c", blocks[0]], tmp_path)

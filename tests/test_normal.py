@@ -10,7 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from crossover_coverage import (
     DomainError,
@@ -174,3 +174,19 @@ class TestTwoSidedQuantile:
     def test_domain(self, bad):
         with pytest.raises(DomainError, match="^a must"):
             std_normal_quantile(bad)
+
+    @pytest.mark.parametrize("bad", [np.array([0.05, 0.1]), np.array(0.05)],
+                             ids=["vector", "0-d"])
+    def test_arrays_rejected(self, bad):
+        # Levels are scalars; only the inverse cdf has an array mode.
+        with pytest.raises(DomainError, match="^a must"):
+            std_normal_quantile(bad)
+
+    def test_bit_identical_to_halved_ndtri(self):
+        levels = np.concatenate([np.logspace(-300, -1, 2000), np.linspace(0.1, 1 - 1e-6, 500)])
+        for a in levels:
+            assert std_normal_quantile(float(a)) == -ndtri(a / 2.0)
+        for a in levels[levels > 1e-38].astype(np.float32):
+            c = std_normal_quantile(a)
+            assert type(c) is float
+            assert c == -ndtri(float(a) / 2.0)

@@ -9,11 +9,11 @@ import pytest
 from crossover_coverage import (
     CoverageQuery,
     DomainError,
+    EmpiricalCoverage,
     ModelParams,
     NumericalError,
     SimConfig,
     TrialDesign,
-    TwoStageConfig,
     coverage_probability,
     empirical_coverage,
     estimate_effects,
@@ -181,6 +181,17 @@ class TestEmpiricalCoverage:
         assert abs(emp.std_err
                    - math.sqrt(emp.estimate * (1 - emp.estimate) / emp.total)) < 1e-15
 
+    def test_z_uses_expected_std_err(self):
+        # All hits: the sample's std_err is 0, the expected coverage's is not.
+        emp = EmpiricalCoverage(hits=20, total=20, estimate=1.0, std_err=0.0,
+                                accept_rate=0.8)
+        assert emp.z_against(0.91) == (1.0 - 0.91) / math.sqrt(0.91 * (1.0 - 0.91) / 20)
+        assert emp.z_against(1.0) == 0.0
+        assert emp.z_against(0.0) == math.inf
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError, match="expected must"):
+                emp.z_against(bad)
+
     def test_accept_rate_at_null(self):
         config = make_config(psi=0.0, alpha1=0.1, replications=100_000, seed=13)
         emp = empirical_coverage(config)
@@ -239,11 +250,8 @@ class TestNuisanceInvariance:
         plain = ModelParams(**kwargs)
         shifted = ModelParams(grand_mean=3.7,
                               period_effects=(0.5, -1.25, 2.0, 3.75), **kwargs)
-        two_stage_cfg = TwoStageConfig(0.1, 0.05, 1.0)
-        emp_plain = empirical_coverage(
-            SimConfig(design, plain, two_stage_cfg, 50_000, 99))
-        emp_shifted = empirical_coverage(
-            SimConfig(design, shifted, two_stage_cfg, 50_000, 99))
+        emp_plain = empirical_coverage(SimConfig(design, plain, 0.1, 0.05, 50_000, 99))
+        emp_shifted = empirical_coverage(SimConfig(design, shifted, 0.1, 0.05, 50_000, 99))
         assert emp_plain == emp_shifted
 
     def test_moments_invariant_to_rounding_noise(self):
@@ -256,9 +264,8 @@ class TestNuisanceInvariance:
         plain = ModelParams(**kwargs)
         shifted = ModelParams(grand_mean=3.7,
                               period_effects=(0.5, -1.25, 2.0, 3.75), **kwargs)
-        cfg = TwoStageConfig(0.1, 0.05, 1.0)
-        mom_a = estimator_moments(SimConfig(design, plain, cfg, 20_000, 99))
-        mom_b = estimator_moments(SimConfig(design, shifted, cfg, 20_000, 99))
+        mom_a = estimator_moments(SimConfig(design, plain, 0.1, 0.05, 20_000, 99))
+        mom_b = estimator_moments(SimConfig(design, shifted, 0.1, 0.05, 20_000, 99))
         for field in ("mean_pooled", "mean_robust", "mean_carryover",
                       "var_pooled", "var_robust", "var_carryover",
                       "cov_pooled_carryover", "cov_robust_carryover"):
@@ -363,11 +370,12 @@ class TestEstimatorMoments:
 
 class TestConfigValidation:
     def test_sigma_e_must_match_params(self):
-        design = TrialDesign(2, 2)
-        params = ModelParams.from_effects(0.0, 0.0, error_var=4.0)
-        with pytest.raises(DomainError):
-            SimConfig(design, params, TwoStageConfig(0.1, 0.05, 1.0), 10, 0)
-        SimConfig(design, params, TwoStageConfig(0.1, 0.05, 2.0), 10, 0)
+        # The procedure's error scale is derived, so no other can be set.
+        for error_var in (4.0, 2.5):
+            params = ModelParams.from_effects(0.0, 0.0, error_var=error_var)
+            config = SimConfig(TrialDesign(2, 2), params, 0.1, 0.05, 10, 0)
+            assert config.two_stage.sigma_e == math.sqrt(params.error_var)
+            assert (config.two_stage.alpha1, config.two_stage.alpha) == (0.1, 0.05)
 
     @pytest.mark.parametrize("run", [empirical_coverage])
     def test_chunk_size_positive(self, run):

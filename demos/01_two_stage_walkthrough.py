@@ -19,7 +19,7 @@ from crossover_coverage import (
 )
 
 design = TrialDesign(n1=8, n2=8)
-params = ModelParams.from_effects(
+params = ModelParams(
     treatment_difference=0.7,
     differential_carryover=0.9,
     between_subject_var=1.0,

@@ -29,9 +29,8 @@ design = TrialDesign(2, 2)
 print(f"{'gamma':>6} {'analytic':>9} {'simulated':>10} {'std err':>8} {'z':>6}")
 for i, target in enumerate([0.0, 0.5, 1.0, 1.5, 2.0, 4.0]):
     psi = target / scaled_carryover(1.0, design, 1.0)
-    params = ModelParams.from_effects(0.7, psi, between_subject_var=1.0,
-                                      error_var=1.0)
-    config = SimConfig.create(design, params, ALPHA1, ALPHA, REPS, seed=600 + i)
+    params = ModelParams(0.7, psi, between_subject_var=1.0, error_var=1.0)
+    config = SimConfig(design, params, ALPHA1, ALPHA, REPS, seed=600 + i)
     gamma = scaled_carryover(params.differential_carryover, design, 1.0)
     analytic = coverage_probability(CoverageQuery(gamma, ALPHA1, ALPHA)).value
     emp = empirical_coverage(config)
@@ -41,8 +40,8 @@ for i, target in enumerate([0.0, 0.5, 1.0, 1.5, 2.0, 4.0]):
 print()
 print("estimator moments, 100k replications, two groups of 8:")
 design = TrialDesign(8, 8)
-params = ModelParams.from_effects(0.7, 0.3, between_subject_var=1.0, error_var=1.0)
-config = SimConfig.create(design, params, ALPHA1, ALPHA, 100_000, seed=42)
+params = ModelParams(0.7, 0.3, between_subject_var=1.0, error_var=1.0)
+config = SimConfig(design, params, ALPHA1, ALPHA, 100_000, seed=42)
 sample = estimator_moments(config)
 exact = theoretical_moments(design, params)
 for field in fields(EstimatorMoments):

@@ -125,11 +125,8 @@ def cmd_min_coverage(args) -> int:
 
 def cmd_simulate(args) -> int:
     design = TrialDesign(args.n1, args.n2)
-    params = ModelParams.from_effects(
-        args.theta, args.psi,
-        between_subject_var=args.sigma_s2, error_var=args.sigma_e2)
-    config = SimConfig.create(design, params, args.alpha1, args.alpha,
-                              args.reps, args.seed)
+    params = ModelParams(args.theta, args.psi, args.sigma_s2, args.sigma_e2)
+    config = SimConfig(design, params, args.alpha1, args.alpha, args.reps, args.seed)
     gamma = scaled_carryover(params.differential_carryover, design,
                              config.two_stage.sigma_e)
     analytic = coverage_probability(CoverageQuery(gamma, args.alpha1, args.alpha))
@@ -195,10 +192,8 @@ def cmd_validate(args) -> int:
     alpha1, alpha = 0.1, 0.05
     for i, target_gamma in enumerate([0.0, 0.5, 1.0, 2.0, 4.0]):
         psi = target_gamma / scaled_carryover(1.0, design, 1.0)
-        params = ModelParams.from_effects(0.7, psi, between_subject_var=1.0,
-                                          error_var=1.0)
-        config = SimConfig.create(design, params, alpha1, alpha, reps,
-                                  (seed + i) % 2**64)
+        params = ModelParams(0.7, psi, between_subject_var=1.0, error_var=1.0)
+        config = SimConfig(design, params, alpha1, alpha, reps, (seed + i) % 2**64)
         gamma = scaled_carryover(params.differential_carryover, design, 1.0)
         analytic = coverage_probability(CoverageQuery(gamma, alpha1, alpha))
         emp = empirical_coverage(config)
@@ -209,11 +204,9 @@ def cmd_validate(args) -> int:
 
     # (c) estimator moments against their closed forms.
     mom_design = TrialDesign(8, 8)
-    mom_params = ModelParams.from_effects(0.7, 0.3, between_subject_var=1.0,
-                                          error_var=1.0)
+    mom_params = ModelParams(0.7, 0.3, between_subject_var=1.0, error_var=1.0)
     mom_reps = min(reps, 100_000)
-    mom_config = SimConfig.create(mom_design, mom_params, alpha1, alpha,
-                                  mom_reps, seed)
+    mom_config = SimConfig(mom_design, mom_params, alpha1, alpha, mom_reps, seed)
     sample = estimator_moments(mom_config)
     exact = theoretical_moments(mom_design, mom_params)
     # The standard error of each sample moment, field by field. They scale

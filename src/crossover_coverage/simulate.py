@@ -81,13 +81,24 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EmpiricalCoverage:
-    """Coverage tally over a simulation run."""
+    """Coverage tally over a simulation run: hits and pretest accepts of total replications."""
 
     hits: int
+    accepts: int
     total: int
-    estimate: float
-    std_err: float
-    accept_rate: float
+
+    @property
+    def estimate(self) -> float:
+        return self.hits / self.total
+
+    @property
+    def accept_rate(self) -> float:
+        return self.accepts / self.total
+
+    @property
+    def std_err(self) -> float:
+        """Binomial standard error of the estimate, at the estimate."""
+        return math.sqrt(self.estimate * (1.0 - self.estimate) / self.total)
 
     def z_against(self, expected: float) -> float:
         """Discrepancy from an expected coverage, in binomial std errors at that coverage."""
@@ -167,20 +178,16 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 def _fixed_effects(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    theta = params.treatment_difference
+    residual = params.differential_carryover / 0.75
+    # Period 1 carries no residual effect; afterwards each period carries
+    # the residual of the treatment given in the period before it. B's
+    # effect and residual effect are 0. The sums are of Python floats,
+    # which overflow to inf without a numpy warning; callers report it.
     mu = params.grand_mean
     p1, p2, p3, p4 = params.period_effects
-    ta, tb = params.treatment_a, params.treatment_b
-    ca, cb = params.carryover_a, params.carryover_b
-    # Period 1 carries no residual effect; afterwards each period carries
-    # the residual of the treatment given in the period before it.
-    group1 = np.array([mu + p1 + ta,
-                       mu + p2 + tb + ca,
-                       mu + p3 + ta + cb,
-                       mu + p4 + tb + ca])
-    group2 = np.array([mu + p1 + tb,
-                       mu + p2 + ta + cb,
-                       mu + p3 + tb + ca,
-                       mu + p4 + ta + cb])
+    group1 = np.array([mu + p1 + theta, mu + p2 + residual, mu + p3 + theta, mu + p4 + residual])
+    group2 = np.array([mu + p1, mu + p2 + theta, mu + p3 + residual, mu + p4 + theta])
     return group1, group2
 
 
@@ -271,11 +278,7 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
         _, accepted, lo, hi = rule(*_batch_estimates(config, start, count))
         hits += int(np.count_nonzero((lo <= theta) & (theta <= hi)))
         accepts += int(np.count_nonzero(accepted))
-    total = config.replications
-    estimate = hits / total
-    std_err = math.sqrt(estimate * (1.0 - estimate) / total)
-    return EmpiricalCoverage(hits=hits, total=total, estimate=estimate,
-                             std_err=std_err, accept_rate=accepts / total)
+    return EmpiricalCoverage(hits=hits, accepts=accepts, total=config.replications)
 
 
 def estimator_moments(config: SimConfig) -> EstimatorMoments:

@@ -132,8 +132,7 @@ def test_criterion_6_nuisance_and_design_invariance():
     # (a) grand-mean and period-effect shifts leave the simulated
     # coverage statistics bit-identical at a fixed seed.
     design = TrialDesign(3, 5)
-    kwargs = dict(treatment_a=0.7, treatment_b=0.0,
-                  carryover_a=0.4, carryover_b=0.0,
+    kwargs = dict(treatment_difference=0.7, differential_carryover=0.3,
                   between_subject_var=1.0, error_var=1.0)
     plain = ModelParams(**kwargs)
     shifted = ModelParams(grand_mean=3.7,

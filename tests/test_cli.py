@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from crossover_coverage import CoverageQuery, RouteDisagreementError, coverage_probability
+from crossover_coverage import (
+    CoverageQuery,
+    RouteDisagreementError,
+    TrialDesign,
+    coverage_probability,
+    scaled_carryover,
+)
 from crossover_coverage.cli import main
 
 import crossover_coverage.cli
@@ -162,6 +168,11 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert "empirical coverage: 1.000000 +/- 0.000000" in stdout
         assert "result: PASS" in stdout
+
+    def test_gamma_is_that_of_the_given_psi(self, capsys):
+        main(["simulate", "--psi", "0.9", "--reps", "20"])
+        gamma = scaled_carryover(0.9, TrialDesign(8, 8), 1.0)
+        assert capsys.readouterr().out.startswith(f"gamma: {gamma!r}\n")
 
     def test_bad_domain_exits_2(self, capsys):
         code = main(["simulate", "--sigma-e2", "-1", "--reps", "10"])

@@ -6,20 +6,20 @@ as an attribute. Importing it alone does not count.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import crossover_coverage
 
 ROOT = Path(__file__).resolve().parent.parent
+# Aliases of constructors, kept only because the benchmark scripts call them.
+BENCHMARK_ALIASES = {"create", "from_effects"}
 
 
-def _used_names() -> set[str]:
-    files = [p for p in (ROOT / "src" / "crossover_coverage").glob("*.py")
-             if p.name != "__init__.py"]
-    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+def _names_read(sources: list[str]) -> set[str]:
     names: set[str] = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -27,6 +27,27 @@ def _used_names() -> set[str]:
     return names
 
 
+def _read(paths) -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in paths]
+
+
+def _library_and_demo_files() -> list[Path]:
+    files = [p for p in (ROOT / "src" / "crossover_coverage").glob("*.py")
+             if p.name != "__init__.py"]
+    return files + [*(ROOT / "demos").glob("*.py")]
+
+
 def test_every_export_is_used():
-    unused = sorted(set(crossover_coverage.__all__) - _used_names())
+    files = _library_and_demo_files() + [*(ROOT / "perfbench").glob("*.py")]
+    unused = sorted(set(crossover_coverage.__all__) - _names_read(_read(files)))
     assert not unused, f"exported but used only by tests: {unused}"
+
+
+def test_constructor_aliases_serve_only_the_benchmark():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    called = _names_read(_read(_library_and_demo_files()) + blocks) & BENCHMARK_ALIASES
+    assert not called, f"call the constructors, not {sorted(called)}"
+    # Once the benchmark stops calling them too, delete the aliases.
+    assert BENCHMARK_ALIASES <= _names_read(_read([ROOT / "perfbench" / "workloads.py"]))

@@ -79,15 +79,34 @@ class TestStreams:
 class TestSimulateTrial:
     def test_period_one_free_of_carryover(self):
         design = TrialDesign(4, 3)
-        base = ModelParams(treatment_a=0.7, treatment_b=-0.2,
-                           carryover_a=0.0, carryover_b=0.0)
-        moved = ModelParams(treatment_a=0.7, treatment_b=-0.2,
-                            carryover_a=5.0, carryover_b=-3.0)
+        base = ModelParams(treatment_difference=0.7, differential_carryover=0.0)
+        moved = ModelParams(treatment_difference=0.7, differential_carryover=0.3)
         a = simulate_trial(design, base, 11, 0)
         b = simulate_trial(design, moved, 11, 0)
         assert np.array_equal(a.group1[:, 0], b.group1[:, 0])
         assert np.array_equal(a.group2[:, 0], b.group2[:, 0])
         assert not np.array_equal(a.group1[:, 1], b.group1[:, 1])
+
+    def test_replication_pinned_bit_for_bit(self):
+        # Any change to the draws or to the order of the fixed-effect sums
+        # moves these responses.
+        params = ModelParams(0.7, 0.9, between_subject_var=2.0, error_var=0.5,
+                             grand_mean=10.0, period_effects=(0.0, 0.3, -0.2, 0.5))
+        responses = simulate_trial(TrialDesign(3, 2), params, 2024, 5)
+        assert [[float(v).hex() for v in row] for row in responses.group1] == [
+            ["0x1.1a68196d37718p+3", "0x1.3b756d3d1af73p+3",
+             "0x1.30a904cafde22p+3", "0x1.2967041ba91e3p+3"],
+            ["0x1.b70bf97d29976p+3", "0x1.ad9bf094e7b4fp+3",
+             "0x1.968142c87112ep+3", "0x1.a2e120570b44cp+3"],
+            ["0x1.3ed698010ac72p+3", "0x1.8089d863773d9p+3",
+             "0x1.46d0a713c9035p+3", "0x1.99d8e257df0a2p+3"],
+        ]
+        assert [[float(v).hex() for v in row] for row in responses.group2] == [
+            ["0x1.391b864714f35p+3", "0x1.86d5ac1da1808p+3",
+             "0x1.8eb052b032eedp+3", "0x1.7fb2164e11897p+3"],
+            ["0x1.164b94b3dbe7ep+3", "0x1.14613463e237dp+3",
+             "0x1.1ae1c290c8b48p+3", "0x1.052c3c51a9295p+3"],
+        ]
 
     def test_noise_free_reduction(self):
         # Vanishing-variance surrogate: with between-subject variance zero
@@ -183,8 +202,8 @@ class TestEmpiricalCoverage:
 
     def test_z_uses_expected_std_err(self):
         # All hits: the sample's std_err is 0, the expected coverage's is not.
-        emp = EmpiricalCoverage(hits=20, total=20, estimate=1.0, std_err=0.0,
-                                accept_rate=0.8)
+        emp = EmpiricalCoverage(hits=20, accepts=16, total=20)
+        assert (emp.estimate, emp.std_err, emp.accept_rate) == (1.0, 0.0, 0.8)
         assert emp.z_against(0.91) == (1.0 - 0.91) / math.sqrt(0.91 * (1.0 - 0.91) / 20)
         assert emp.z_against(1.0) == 0.0
         assert emp.z_against(0.0) == math.inf
@@ -244,8 +263,7 @@ class TestPinnedResults:
 class TestNuisanceInvariance:
     def test_counts_bit_identical_under_mean_and_period_shifts(self):
         design = TrialDesign(3, 5)
-        kwargs = dict(treatment_a=0.7, treatment_b=0.0,
-                      carryover_a=0.4, carryover_b=0.0,
+        kwargs = dict(treatment_difference=0.7, differential_carryover=0.3,
                       between_subject_var=1.0, error_var=1.0)
         plain = ModelParams(**kwargs)
         shifted = ModelParams(grand_mean=3.7,
@@ -258,8 +276,7 @@ class TestNuisanceInvariance:
         # Exact cancellation of the shifts is impossible in floating
         # point, but the moments must agree to rounding level.
         design = TrialDesign(3, 5)
-        kwargs = dict(treatment_a=0.7, treatment_b=0.0,
-                      carryover_a=0.4, carryover_b=0.0,
+        kwargs = dict(treatment_difference=0.7, differential_carryover=0.3,
                       between_subject_var=1.0, error_var=1.0)
         plain = ModelParams(**kwargs)
         shifted = ModelParams(grand_mean=3.7,

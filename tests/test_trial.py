@@ -41,16 +41,11 @@ class TestTypes:
         with pytest.raises(DomainError):
             TrialDesign(n1, n2)
 
-    def test_params_derived_quantities(self):
-        p = ModelParams(treatment_a=2.0, treatment_b=0.5,
-                        carryover_a=1.0, carryover_b=-1.0)
-        assert p.treatment_difference == 1.5
-        assert p.differential_carryover == 1.5
-
     def test_from_effects_roundtrip(self):
         p = ModelParams.from_effects(0.7, 0.3)
         assert p.treatment_difference == 0.7
-        assert abs(p.differential_carryover - 0.3) < 1e-15
+        assert p.differential_carryover == 0.3
+        assert p == ModelParams(0.7, 0.3)
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
@@ -65,6 +60,11 @@ class TestTypes:
             ModelParams(period_effects=True)
         with pytest.raises(DomainError):
             ModelParams.from_effects(0, 0, period_effects=3)
+        # A's residual effect, psi / 0.75, overflows past about 1.348e308.
+        ModelParams(differential_carryover=1.3e308)
+        for psi in (1.4e308, -1.4e308):
+            with pytest.raises(DomainError, match="must be finite"):
+                ModelParams(differential_carryover=psi)
 
     def test_responses_validation(self):
         with pytest.raises(DomainError):

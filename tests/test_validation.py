@@ -61,8 +61,8 @@ ENTRY_POINTS = [
      dict(x_lo=-1.0, x_hi=1.0, y_lo=0.0, y_hi=1.0, rho=0.5)),
     ("TrialDesign", TrialDesign, dict(n1=2, n2=3)),
     ("ModelParams", ModelParams,
-     dict(grand_mean=0.0, treatment_a=0.7, treatment_b=0.0, carryover_a=0.4,
-          carryover_b=0.0, between_subject_var=1.0, error_var=1.0)),
+     dict(treatment_difference=0.7, differential_carryover=0.3,
+          between_subject_var=1.0, error_var=1.0, grand_mean=0.0)),
     ("ModelParams.period_effects",
      lambda p4: ModelParams(period_effects=(0.0, 0.0, 0.0, p4)), dict(p4=0.5)),
     ("ModelParams.from_effects", ModelParams.from_effects,

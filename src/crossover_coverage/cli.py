@@ -31,6 +31,7 @@ from . import __version__
 from .coverage import (
     ROUTE_AGREEMENT_TOL,
     CoverageQuery,
+    _accept_prob,
     coverage_curve,
     coverage_probability,
     efficiency_comparison,
@@ -38,9 +39,11 @@ from .coverage import (
     reject_cover_routes,
 )
 from .errors import DomainError, NumericalError, RouteDisagreementError, _checked_int
+from .normal import std_normal_quantile
 from .simulate import (
     EstimatorMoments,
     SimConfig,
+    _binomial_z,
     empirical_coverage,
     estimator_moments,
     theoretical_moments,
@@ -50,24 +53,22 @@ from .trial import ModelParams, TrialDesign, scaled_carryover
 _Z_GATE = 3.5  # |z| gate for analytic-vs-empirical checks (~0.05% false alarms)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: list[str], rows: list[tuple], command: str,
+               parameters: dict) -> None:
+    """Write the CSV, then its ``<path>.manifest.json`` sidecar."""
     # csv writes floats with repr, so they round-trip exactly.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_manifest(csv_path: str, command: str, parameters: dict,
-                    seed: int | None = None) -> None:
     manifest = {
         "command": command,
         "parameters": parameters,
-        "seed": seed,
+        "seed": None,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(csv_path + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -87,8 +88,7 @@ def _dedupe(values: list[float], name: str) -> list[float]:
 def cmd_coverage_curve(args) -> int:
     points = coverage_curve(args.alpha1, args.alpha, args.gamma_min,
                             args.gamma_max, args.steps)
-    _write_csv(args.out, ["gamma", "coverage"], points)
-    _write_manifest(args.out, "coverage-curve", {
+    _write_csv(args.out, ["gamma", "coverage"], points, "coverage-curve", {
         "alpha1": args.alpha1, "alpha": args.alpha,
         "gamma_min": args.gamma_min, "gamma_max": args.gamma_max,
         "steps": args.steps, "out": args.out,
@@ -115,30 +115,37 @@ def cmd_min_coverage(args) -> int:
                      rep.min_coverage, nominal, deficit))
     if args.out:
         _write_csv(args.out, ["alpha1", "alpha", "gamma_star", "min_coverage",
-                              "nominal", "deficit"], rows)
-        _write_manifest(args.out, "min-coverage", {
+                              "nominal", "deficit"], rows, "min-coverage", {
             "alpha1": alpha1_list, "alpha": alpha_list, "out": args.out,
         })
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
+def _simulation_check(config: SimConfig):
+    """gamma, analytic coverage, simulated tally, z, analytic accept rate and its z."""
+    gamma = scaled_carryover(config.params.differential_carryover, config.design,
+                             config.two_stage.sigma_e)
+    analytic = coverage_probability(CoverageQuery(gamma, config.alpha1, config.alpha)).value
+    empirical = empirical_coverage(config)
+    accept = _accept_prob(gamma, std_normal_quantile(config.alpha1))
+    return (gamma, analytic, empirical, empirical.z_against(analytic), accept,
+            _binomial_z(empirical.accept_rate, accept, empirical.total))
+
+
 def cmd_simulate(args) -> int:
     design = TrialDesign(args.n1, args.n2)
     params = ModelParams(args.theta, args.psi, args.sigma_s2, args.sigma_e2)
     config = SimConfig(design, params, args.alpha1, args.alpha, args.reps, args.seed)
-    gamma = scaled_carryover(params.differential_carryover, design,
-                             config.two_stage.sigma_e)
-    analytic = coverage_probability(CoverageQuery(gamma, args.alpha1, args.alpha))
-    empirical = empirical_coverage(config)
-    z = empirical.z_against(analytic.value)
+    gamma, analytic, empirical, z, _, accept_z = _simulation_check(config)
     print(f"gamma: {gamma!r}")
-    print(f"analytic coverage: {analytic.value:.6f}")
+    print(f"analytic coverage: {analytic:.6f}")
     print(f"empirical coverage: {empirical.estimate:.6f} "
           f"+/- {empirical.std_err:.6f} ({empirical.total} replications)")
     print(f"accept rate: {empirical.accept_rate:.6f}")
+    print(f"accept z score: {accept_z:.3f}")
     print(f"z score: {z:.3f}")
-    ok = abs(z) <= _Z_GATE
+    ok = abs(z) <= _Z_GATE and abs(accept_z) <= _Z_GATE
     print(f"result: {'PASS' if ok else 'FAIL'} (|z| <= {_Z_GATE})")
     return 0 if ok else 1
 
@@ -187,20 +194,20 @@ def cmd_validate(args) -> int:
            f"max gap {max_gap:.3e} over {len(gammas) * len(levels1) * len(levels)} "
            f"triples (tol {ROUTE_AGREEMENT_TOL:.0e})", failures)
 
-    # (b) empirical coverage against the analytic engine.
+    # (b) empirical coverage and accept rate against the analytic engine.
     design = TrialDesign(2, 2)
     alpha1, alpha = 0.1, 0.05
     for i, target_gamma in enumerate([0.0, 0.5, 1.0, 2.0, 4.0]):
         psi = target_gamma / scaled_carryover(1.0, design, 1.0)
         params = ModelParams(0.7, psi, between_subject_var=1.0, error_var=1.0)
         config = SimConfig(design, params, alpha1, alpha, reps, (seed + i) % 2**64)
-        gamma = scaled_carryover(params.differential_carryover, design, 1.0)
-        analytic = coverage_probability(CoverageQuery(gamma, alpha1, alpha))
-        emp = empirical_coverage(config)
-        z = emp.z_against(analytic.value)
+        _, analytic, emp, z, accept, accept_z = _simulation_check(config)
         _check(f"coverage gamma={target_gamma}", abs(z) <= _Z_GATE,
-               f"analytic {analytic.value:.6f} empirical {emp.estimate:.6f} "
+               f"analytic {analytic:.6f} empirical {emp.estimate:.6f} "
                f"z {z:+.2f} (gate {_Z_GATE})", failures)
+        _check(f"accept rate gamma={target_gamma}", abs(accept_z) <= _Z_GATE,
+               f"analytic {accept:.6f} empirical {emp.accept_rate:.6f} "
+               f"z {accept_z:+.2f} (gate {_Z_GATE})", failures)
 
     # (c) estimator moments against their closed forms.
     mom_design = TrialDesign(8, 8)

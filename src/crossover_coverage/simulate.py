@@ -102,12 +102,17 @@ class EmpiricalCoverage:
 
     def z_against(self, expected: float) -> float:
         """Discrepancy from an expected coverage, in binomial std errors at that coverage."""
-        if not 0.0 <= expected <= 1.0:  # NaN fails too
-            raise DomainError(f"expected must lie in [0, 1], got {expected!r}")
-        se = math.sqrt(expected * (1.0 - expected) / self.total)
-        if se == 0.0:
-            return 0.0 if self.estimate == expected else math.inf
-        return (self.estimate - expected) / se
+        return _binomial_z(self.estimate, expected, self.total)
+
+
+def _binomial_z(rate: float, expected: float, total: int) -> float:
+    """(rate - expected) over the binomial std error at expected; 0 or inf when that is 0."""
+    if not 0.0 <= expected <= 1.0:  # NaN fails too
+        raise DomainError(f"expected must lie in [0, 1], got {expected!r}")
+    se = math.sqrt(expected * (1.0 - expected) / total)
+    if se == 0.0:
+        return 0.0 if rate == expected else math.inf
+    return (rate - expected) / se
 
 
 @dataclass(frozen=True)
@@ -244,22 +249,33 @@ def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> Iterator[tuple[i
 def _batch_estimates(config: SimConfig, start: int, count: int):
     """Estimator triple for replications [start, start + count), vectorized.
 
-    Element-for-element identical to running ``simulate_trial(design,
-    params, seed, rep_index)``, reduce_responses and estimate_effects on
-    each replication in turn. Raises ``NumericalError`` on a non-finite one.
+    Element-for-element identical to running ``simulate_trial(design, params, seed,
+    rep_index)``, reduce_responses and estimate_effects on each replication in turn.
     """
     design = config.design
-    raw = _raw_words(config.seed, start, count, design)
-    # Overflow would only warn; the check below reports it instead.
-    with np.errstate(over="ignore", invalid="ignore"):
-        y1, y2 = _responses(design, config.params, raw)
-        d1, d2, d3, d4 = _period_differences(design, y1, y2).T
-        estimates = (pooled_effect_estimate(d1, d2, d3, d4),
-                     robust_effect_estimate(d1, d2, d3, d4),
-                     carryover_effect_estimate(d1, d2, d3, d4))
-    if not np.isfinite(estimates).all():
-        raise NumericalError(f"non-finite estimate in replications [{start}, {start + count})")
-    return estimates
+    y1, y2 = _responses(design, config.params, _raw_words(config.seed, start, count, design))
+    d1, d2, d3, d4 = _period_differences(design, y1, y2).T
+    return (pooled_effect_estimate(d1, d2, d3, d4),
+            robust_effect_estimate(d1, d2, d3, d4),
+            carryover_effect_estimate(d1, d2, d3, d4))
+
+
+def _check_precision(config: SimConfig) -> None:
+    """Refuse, before any draw, a run whose responses would round its noise away.
+
+    The open uniforms give |z| <= -Phi^-1(2^-53) = 8.2095..., so |response| <= M =
+    max |fixed effect| + 8.21 (sigma_s + sigma_e), which rounds by at most 2^-53 M.
+    The run needs M <= 2^33 s, s = sigma_e sqrt(m/4) the pooled estimator's std
+    deviation, so that nothing rounds by more than 2^-20 s. Nor can anything then
+    overflow: |response| <= M <= 2^33 s, and sigma_e <= 1.35e154.
+    """
+    sigma_e = math.sqrt(config.params.error_var)
+    bound = (float(np.max(np.abs(np.concatenate(_fixed_effects(config.params)))))
+             + 8.21 * (math.sqrt(config.params.between_subject_var) + sigma_e))
+    s = sigma_e * math.sqrt(config.design.m / 4.0)
+    if not bound <= 2.0**33 * s:  # an overflowed, infinite bound fails too
+        raise NumericalError(f"responses up to M = {bound!r} round away noise of scale "
+                             f"s = {s!r} (M > 2**33 s) in replications [0, {config.replications})")
 
 
 def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> EmpiricalCoverage:
@@ -270,6 +286,7 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
     difference. Deterministic given the config (including its seed) and
     independent of chunk_size, which only bounds working memory.
     """
+    _check_precision(config)
     theta = config.params.treatment_difference
     rule = _two_stage_rule(config.design, config.two_stage)
     hits = 0
@@ -289,6 +306,7 @@ def estimator_moments(config: SimConfig) -> EstimatorMoments:
     merged into running totals in replication order (Chan's update), so
     memory stays flat. ``theoretical_moments`` gives their exact counterparts.
     """
+    _check_precision(config)
     n = 0
     mean = np.zeros(3)  # pooled, robust, carryover
     comoment = np.zeros((3, 3))  # sums of products of deviations from mean

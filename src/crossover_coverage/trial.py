@@ -222,22 +222,13 @@ def scaled_carryover(psi: float, design: TrialDesign, sigma_e: float) -> float:
     return carryover_scale(design.m) * psi / sigma_e
 
 
-def pooled_half_width(m: float, alpha: float, sigma_e: float) -> float:
-    """Half-width of the pooled-estimator interval at level 1 - alpha."""
-    return std_normal_quantile(alpha) * math.sqrt(m / 4.0) * sigma_e
-
-
-def robust_half_width(m: float, alpha: float, sigma_e: float) -> float:
-    """Half-width of the robust-estimator interval at level 1 - alpha."""
-    return std_normal_quantile(alpha) * math.sqrt(11.0 * m / 8.0) * sigma_e
-
-
 def _two_stage_rule(design: TrialDesign, config: TwoStageConfig):
     """two_stage's (stat, accepted, lo, hi) from (pooled, robust, carryover) floats or arrays."""
     scale = carryover_scale(design.m)
     crit1 = std_normal_quantile(config.alpha1)
-    hw_pooled = pooled_half_width(design.m, config.alpha, config.sigma_e)
-    hw_robust = robust_half_width(design.m, config.alpha, config.sigma_e)
+    c = std_normal_quantile(config.alpha)
+    hw_pooled = c * math.sqrt(design.m / 4.0) * config.sigma_e
+    hw_robust = c * math.sqrt(11.0 * design.m / 8.0) * config.sigma_e
 
     def rule(pooled, robust, carryover):
         stat = scale * carryover / config.sigma_e

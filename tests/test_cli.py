@@ -198,6 +198,15 @@ class TestSimulate:
         assert result.stderr.startswith("numerical failure:")
         assert "RuntimeWarning" not in result.stderr
 
+    @pytest.mark.parametrize("theta", ["1e17", "1e15"])
+    def test_noise_rounded_away_is_a_numerical_failure(self, capsys, theta):
+        # Responses near theta keep no unit noise: a tally of them would
+        # read as a failed validation.
+        assert main(["simulate", "--theta", theta, "--reps", "2000", "--seed", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("numerical failure:")
+        assert "result:" not in out
+
 
 class TestEfficiency:
     def test_boundary_equality(self, capsys):
@@ -259,6 +268,14 @@ class TestValidate:
         assert main(["validate", "--reps", "2000", "--seed", "1729"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_corrupted_pretest_fails_accept_rate(self, capsys, monkeypatch):
+        # A wrong carryover coefficient moves the pretest's accept rate.
+        monkeypatch.setattr(
+            crossover_coverage.simulate, "carryover_effect_estimate",
+            lambda d1, d2, d3, d4: 0.9 * (d1 - d3))
+        assert main(["validate", "--reps", "2000", "--seed", "1729"]) == 1
+        assert re.search(r"^FAIL  accept rate gamma=", capsys.readouterr().out, re.M)
+
     def test_route_disagreement_is_a_failed_check(self, capsys, monkeypatch):
         # The routes raise past their tolerance; validate reports that as
         # one failed check and still runs the others.
@@ -270,7 +287,7 @@ class TestValidate:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(
             "FAIL  route agreement: max gap 1.000e-06 over 45 triples")
-        assert len(lines) == 16
+        assert len(lines) == 21
         assert all(line.startswith("PASS  ") for line in lines[1:-1])
         assert lines[-1] == "failures: 1"
 

@@ -410,6 +410,17 @@ class TestConfigValidation:
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"\[0, 10\)"):
             run(config)
 
+    @pytest.mark.parametrize("run", [empirical_coverage, estimator_moments])
+    def test_noise_rounded_away_raises(self, run):
+        # At n = (8, 8) the pooled std deviation is s = 0.25, so responses may
+        # reach 2**33 * s = 2**31 = 2.147e9 before their noise rounds away.
+        run(make_config(n1=8, n2=8, theta=2.0e9, replications=10))
+        run(make_config(n1=8, n2=8, sigma_s2=1e12, replications=10))
+        for kwargs in ({"theta": 2.2e9}, {"sigma_s2": 1e20}):
+            config = make_config(n1=8, n2=8, replications=10, **kwargs)
+            with pytest.raises(NumericalError, match=r"2\*\*33 s\) in replications \[0, 10\)"):
+                run(config)
+
     def test_replications_positive(self):
         with pytest.raises(DomainError):
             make_config(replications=0)

@@ -24,9 +24,7 @@ from crossover_coverage.trial import (
     carryover_effect_estimate,
     carryover_scale,
     pooled_effect_estimate,
-    pooled_half_width,
     robust_effect_estimate,
-    robust_half_width,
 )
 
 
@@ -189,7 +187,7 @@ class TestTwoStage:
         out = two_stage(PeriodDifferences(0.0, 0.0, 0.0, 0.0), design, config)
         assert out.h0_accepted
         assert out.pretest_stat == 0.0
-        half = pooled_half_width(design.m, 0.05, 1.0)
+        half = std_normal_quantile(0.05) * math.sqrt(design.m / 4.0) * 1.0
         assert out.interval_lo == -half
         assert out.interval_hi == half
 
@@ -235,8 +233,8 @@ class TestTwoStage:
         rng = np.random.default_rng(11)
         design = TrialDesign(5, 3)
         config = TwoStageConfig(alpha1=0.1, alpha=0.05, sigma_e=2.0)
-        hw_pooled = pooled_half_width(design.m, 0.05, 2.0)
-        hw_robust = robust_half_width(design.m, 0.05, 2.0)
+        hw_pooled = std_normal_quantile(0.05) * math.sqrt(design.m / 4.0) * 2.0
+        hw_robust = std_normal_quantile(0.05) * math.sqrt(11.0 * design.m / 8.0) * 2.0
         for _ in range(200):
             reduced = PeriodDifferences(*rng.normal(scale=2.0, size=4))
             out = two_stage(reduced, design, config)

@@ -30,6 +30,7 @@ points; one point costs more through ``quad_vec`` than through ``quad``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -64,6 +65,11 @@ _QUAD_REQUEST = 1e-12
 #: Maximum tolerated gap between the two evaluation routes.
 ROUTE_AGREEMENT_TOL = 5e-9
 
+#: The rounding of the float arithmetic that assembles a coverage from its
+#: parts: about four roundings of a number in [0, 1]. Neither the
+#: quadrature's abserr nor the route gap sees it.
+_ROUNDING_ERR = 2.0**-51
+
 #: The minimum search's grid step and refinement tolerance.
 _SEARCH_GRID_STEP = 0.01
 _SEARCH_XATOL = 1e-6
@@ -93,7 +99,9 @@ class CoverageResult:
     """A coverage probability with its error bound.
 
     ``err_bound`` is the quadrature's reported abserr plus the route gap at
-    this gamma: an estimate, not a rigorous enclosure.
+    this gamma plus 2**-51 for the rounding of the value itself: an
+    estimate, not a rigorous enclosure. ``tests/test_oracle.py`` holds it
+    against a 30-digit oracle.
     """
 
     value: float
@@ -227,7 +235,7 @@ def _coverage_value(gamma: float, alpha: float, c1: float,
                     c: float) -> tuple[float, float]:
     via_bvn, via_quad, abserr, coverage = _routes(gamma, alpha, c1, c,
                                                   _cdf, _band, _quad)
-    return _clip_prob(coverage), abserr + abs(via_bvn - via_quad)
+    return _clip_prob(coverage), abserr + abs(via_bvn - via_quad) + _ROUNDING_ERR
 
 
 def _coverage_grid(gammas: np.ndarray, alpha: float, c1: float,
@@ -340,12 +348,20 @@ def efficiency_comparison(sigma_s2: float, sigma_e2: float,
     measurements. The crossover estimator wins exactly when the
     between-subject variance is at least 4.5 times the error variance,
     tested as such: the two rounded variances can disagree at the boundary.
+    Both variances must be normal floats: an infinite, zero or subnormal one
+    would make their ratio inf, nan or inexact, so it raises instead.
     """
-    n = _checked_int("n", n, 1)
+    # From 2**1022 on, 4.0 * n overflows (or n does not convert), so
+    # var_robust could only be 0.
+    n = _checked_int("n", n, 1, 2**1022)
     sigma_e2 = _checked_real("sigma_e2", sigma_e2, sign="positive")
     sigma_s2 = _checked_real("sigma_s2", sigma_s2, sign="nonnegative")
     var_robust = 11.0 * sigma_e2 / (4.0 * n)
     var_randomized = (sigma_e2 + sigma_s2) / (2.0 * n)
+    for name, var in (("var_robust", var_robust), ("var_randomized", var_randomized)):
+        if not sys.float_info.min <= var < math.inf:
+            raise DomainError(f"{name} = {var!r} is not a normal float (sigma_s2={sigma_s2!r}, "
+                              f"sigma_e2={sigma_e2!r}, n={n})")
     return EfficiencyComparison(
         var_robust=var_robust,
         var_randomized=var_randomized,

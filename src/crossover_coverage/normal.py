@@ -7,9 +7,11 @@ the coverage integrals downstream. The private ``_pdf``, ``_cdf`` and
 ``_cdf_array`` are the unchecked kernels the coverage engine integrates;
 Phi(x) there is ``0.5 * erfc(-x / sqrt(2))``, accurate to a few ulp everywhere.
 
-The quantile is ``scipy.special.ndtri`` on the lower half of (0, 1),
-reflected for p > 0.5, so ``Phi^-1(1 - p) == -Phi^-1(p)`` holds exactly
-whenever ``1 - p`` is exact. Its relative error is at the ulp level from
+The quantile is ``scipy.special.ndtri``, which is odd by itself: it reduces
+p > 1 - exp(-2) to 1 - p, and its central rational is odd in p - 1/2. So
+``Phi^-1(1 - p) == -Phi^-1(p)`` holds exactly whenever ``1 - p`` is exact;
+``tests/test_normal.py`` pins that against the explicit reflection on the
+simulator's uniform lattice. Its relative error is at the ulp level from
 the simulator's smallest uniform (2**-53) down to 1e-300.
 """
 
@@ -57,10 +59,7 @@ def std_normal_inverse_cdf(p):
     # NaN fails both comparisons, so it is rejected here too.
     if not ((arr > 0.0) & (arr < 1.0)).all():
         raise DomainError("p must lie strictly inside (0, 1)")
-    # Reflecting the lower half keeps Phi^-1(1 - p) == -Phi^-1(p) exact
-    # whenever 1 - p is exact.
-    z = special.ndtri(np.minimum(arr, 1.0 - arr))
-    out = np.where(arr <= 0.5, z, -z)
+    out = special.ndtri(arr)
     return float(out) if scalar else out
 
 
@@ -81,7 +80,6 @@ def std_normal_quantile(a):
     # a/2 is an exact halving, so no precision is lost entering the tail.
     if a / 2.0 == 0.0:
         raise DomainError(f"a must be at least 1e-323, or its half underflows; got {a!r}")
-    # a/2 < 0.5, so the inverse cdf's reflection is never needed.
     return -float(special.ndtri(a / 2.0))
 
 

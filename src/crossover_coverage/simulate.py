@@ -18,8 +18,10 @@ Normal variates are ``std_normal_inverse_cdf`` (scipy's ``ndtri``) of
 open-interval uniforms built from the raw 64-bit words. Each replication
 consumes exactly ``5 * (n1 + n2)`` raw words (one per subject effect, one
 per subject-period error), padded to a multiple of 4 words because Philox
-advances in 4-word blocks. ``_responses`` maps the words to responses;
-``trial.py``'s own reduction and two-stage procedure take it from there.
+advances in 4-word blocks. One replication must fit in a chunk of
+``_CHUNK_WORDS`` words, so designs with n1 + n2 > 3,276 are refused before
+any draw. ``_responses`` maps the words to responses; ``trial.py``'s own
+reduction and two-stage procedure take it from there.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ from .trial import (
 
 #: Philox keys are unsigned 64-bit integers.
 _SEED_LIMIT = 2**64
+
+#: Most Philox words one chunk draws. Each float64 temporary then stays
+#: within 128 KiB, the C allocator's default threshold for mapping fresh
+#: pages, so successive chunks reuse the same heap memory.
+_CHUNK_WORDS = 16_384
 
 
 @dataclass(frozen=True)
@@ -163,9 +170,15 @@ def _draws_per_rep(design: TrialDesign) -> int:
 
 
 def _padded_draws_per_rep(design: TrialDesign) -> int:
-    # Philox advances its counter in blocks of 4 output words.
-    b = _draws_per_rep(design)
-    return -(-b // 4) * 4
+    """Words per replication, padded to Philox's 4-word blocks; at most _CHUNK_WORDS."""
+    b_pad = -(-_draws_per_rep(design) // 4) * 4
+    if b_pad > _CHUNK_WORDS:
+        raise DomainError(
+            f"n1 + n2 = {design.n1 + design.n2} draws {b_pad} words per replication, "
+            f"over the {_CHUNK_WORDS}-word chunk (n1 + n2 <= {_CHUNK_WORDS // 5}); "
+            "coverage depends on the design only through gamma, so simulate a "
+            "smaller design at the same gamma")
+    return b_pad
 
 
 def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:
@@ -182,7 +195,8 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     return ((raw >> 12).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def _fixed_effects(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_effects(params: ModelParams) -> np.ndarray:
+    """The (2, 4) table of mean responses: group 1's periods, then group 2's."""
     theta = params.treatment_difference
     residual = params.differential_carryover / 0.75
     # Period 1 carries no residual effect; afterwards each period carries
@@ -191,31 +205,28 @@ def _fixed_effects(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     # which overflow to inf without a numpy warning; callers report it.
     mu = params.grand_mean
     p1, p2, p3, p4 = params.period_effects
-    group1 = np.array([mu + p1 + theta, mu + p2 + residual, mu + p3 + theta, mu + p4 + residual])
-    group2 = np.array([mu + p1, mu + p2 + theta, mu + p3 + residual, mu + p4 + theta])
-    return group1, group2
+    return np.array([[mu + p1 + theta, mu + p2 + residual, mu + p3 + theta, mu + p4 + residual],
+                     [mu + p1, mu + p2 + theta, mu + p3 + residual, mu + p4 + theta]])
 
 
 def _responses(design: TrialDesign, params: ModelParams,
                raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both groups' responses from a (count, 5 * (n1 + n2)) block of raw words.
 
-    Each row holds one trial, in a fixed order: subject effects for group
-    1, then group 2, then the per-subject-period errors of group 1, then
-    group 2. Returns arrays of shape (count, n1, 4) and (count, n2, 4).
+    Each row holds one trial, in a fixed order: the n1 + n2 subject effects,
+    group 1's subjects first, then each subject's four period errors in the
+    same subject order. Both groups are built as one (count, n1 + n2, 4)
+    array, fixed effect + subject effect + error; the two returned views of
+    it have shapes (count, n1, 4) and (count, n2, 4).
     """
     n1, n2 = design.n1, design.n2
     total = n1 + n2
-    count = raw.shape[0]
     z = std_normal_inverse_cdf(_open_uniforms(raw))
     sigma_s = math.sqrt(params.between_subject_var)
     sigma_e = math.sqrt(params.error_var)
-    xi1 = sigma_s * z[:, :n1]
-    xi2 = sigma_s * z[:, n1:total]
-    eps1 = sigma_e * z[:, total:total + 4 * n1].reshape(count, n1, 4)
-    eps2 = sigma_e * z[:, total + 4 * n1:].reshape(count, n2, 4)
-    fixed1, fixed2 = _fixed_effects(params)
-    return fixed1 + xi1[:, :, None] + eps1, fixed2 + xi2[:, :, None] + eps2
+    y = (np.repeat(_fixed_effects(params), [n1, n2], axis=0) + sigma_s * z[:, :total, None]
+         + sigma_e * z[:, total:].reshape(-1, total, 4))
+    return y[:, :n1], y[:, n1:]
 
 
 def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,
@@ -228,12 +239,10 @@ def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,
 
 
 def _auto_chunk(design: TrialDesign, replications: int) -> int:
-    # At most 16,384 words per chunk keeps each float64 temporary within
-    # 128 KiB, the C allocator's default threshold for mapping fresh pages,
-    # so successive chunks reuse the same heap memory instead of faulting
-    # new pages in. Hits are chunk-independent; moments fold over these chunks.
-    budget = 16_384 // _padded_draws_per_rep(design)
-    return max(1, min(replications, budget))
+    # As many replications as fit in _CHUNK_WORDS words, at least one, since
+    # _padded_draws_per_rep refuses wider designs. Hits are chunk-independent;
+    # moments fold over these chunks.
+    return min(replications, _CHUNK_WORDS // _padded_draws_per_rep(design))
 
 
 def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> Iterator[tuple[int, int]]:
@@ -270,7 +279,7 @@ def _check_precision(config: SimConfig) -> None:
     overflow: |response| <= M <= 2^33 s, and sigma_e <= 1.35e154.
     """
     sigma_e = math.sqrt(config.params.error_var)
-    bound = (float(np.max(np.abs(np.concatenate(_fixed_effects(config.params)))))
+    bound = (float(np.max(np.abs(_fixed_effects(config.params))))
              + 8.21 * (math.sqrt(config.params.between_subject_var) + sigma_e))
     s = sigma_e * math.sqrt(config.design.m / 4.0)
     if not bound <= 2.0**33 * s:  # an overflowed, infinite bound fails too

@@ -207,8 +207,29 @@ class TestSimulate:
         assert err.startswith("numerical failure:")
         assert "result:" not in out
 
+    def test_design_wider_than_a_chunk_is_a_usage_error(self, capsys):
+        assert main(["simulate", "--n1", "18446744073709551615", "--reps", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: n1 + n2 = 18446744073709551623 ")
+        assert err.count("\n") == 1
+        assert out == ""
+
 
 class TestEfficiency:
+    @pytest.mark.parametrize("sigma_s2,sigma_e2,n", [
+        ("0", "5e-324", "2"),  # var_robust is subnormal, var_randomized 0
+        ("1e308", "1e308", "1"),  # both variances overflow
+        ("0", "1e308", "1"),  # var_robust overflows
+        ("0", "1e-300", "18446744073709551615"),  # subnormal variances
+    ])
+    def test_variances_outside_normal_range_are_usage_errors(self, capsys, sigma_s2,
+                                                             sigma_e2, n):
+        assert main(["efficiency", "--sigma-s2", sigma_s2, "--sigma-e2", sigma_e2,
+                     "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: var_") and err.count("\n") == 1
+
     def test_boundary_equality(self, capsys):
         assert main(["efficiency", "--sigma-s2", "4.5", "--sigma-e2", "1.0",
                      "--n", "10"]) == 0

@@ -1,6 +1,7 @@
 """Tests for the analytic coverage engine."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -416,3 +417,26 @@ class TestEfficiencyComparison:
             efficiency_comparison(-1.0, 1.0, 10)
         with pytest.raises(DomainError):
             efficiency_comparison(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("sigma_s2,sigma_e2,n", [
+        (0.0, 5e-324, 2),
+        (1e308, 1e308, 1),
+        (0.0, 1e308, 1),
+        (0.0, 1e-300, 2**64 - 1),
+        (1.0, 1.0, 2**1100),  # 4.0 * n overflows
+    ])
+    def test_variances_outside_normal_range(self, sigma_s2, sigma_e2, n):
+        # An infinite, zero or subnormal variance would print a ratio of
+        # inf, nan or (subnormal) 5.500182 instead of 5.5.
+        with pytest.raises(DomainError):
+            efficiency_comparison(sigma_s2, sigma_e2, n)
+
+    def test_normal_range_ends_accepted(self):
+        # var_randomized is normal down to the smallest normal float, and
+        # var_robust = 11 sigma_e2 / (4 n) finite while 11 sigma_e2 is.
+        tiny = sys.float_info.min
+        comp = efficiency_comparison(0.0, 2.0 * tiny, 1)
+        assert comp.var_randomized == tiny
+        comp = efficiency_comparison(0.0, sys.float_info.max / 11.0, 1)
+        assert math.isfinite(comp.var_robust)
+        assert abs(comp.var_robust / comp.var_randomized - 5.5) < 1e-15

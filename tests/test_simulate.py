@@ -421,6 +421,29 @@ class TestConfigValidation:
             with pytest.raises(NumericalError, match=r"2\*\*33 s\) in replications \[0, 10\)"):
                 run(config)
 
+    def test_widest_design_fills_one_chunk(self):
+        # 5 * 3,276 = 16,380 words: one replication per chunk, within 128 KiB.
+        design = TrialDesign(1638, 1638)
+        trial = simulate_trial(design, ModelParams(), 0, 0)
+        assert trial.group1.shape == trial.group2.shape == (1638, 4)
+        assert _auto_chunk(design, 10) == 1
+        config = SimConfig(design, ModelParams(), 0.1, 0.05, 1, 0)
+        assert empirical_coverage(config).total == 1
+
+    # n1 + n2 = 3,277 and 2**64 - 1
+    @pytest.mark.parametrize("n1,n2", [(1639, 1638), (2**64 - 2, 1)])
+    def test_design_wider_than_a_chunk_raises(self, n1, n2):
+        design = TrialDesign(n1, n2)
+        match = rf"n1 \+ n2 = {n1 + n2} .* \(n1 \+ n2 <= 3276\)"
+        with pytest.raises(DomainError, match=match):
+            simulate_trial(design, ModelParams(), 0, 0)
+        config = SimConfig(design, ModelParams(), 0.1, 0.05, 1, 0)
+        for chunk_size in (None, 1):
+            with pytest.raises(DomainError, match=match):
+                empirical_coverage(config, chunk_size=chunk_size)
+        with pytest.raises(DomainError, match=match):
+            estimator_moments(config)
+
     def test_replications_positive(self):
         with pytest.raises(DomainError):
             make_config(replications=0)

@@ -1,7 +1,7 @@
 """Cross-validate the analytic coverage engine against brute-force simulation.
 
-For a handful of carryover values, simulates 200k full trials at the
-subject level and compares the hit rate of the two-stage interval against
+For a handful of carryover values, simulates the period differences of
+200k trials and compares the hit rate of the two-stage interval against
 the analytic coverage probability. Also checks the simulated estimator
 moments against their closed forms.
 """

@@ -1,27 +1,44 @@
-"""Subject-level Monte Carlo simulator for the crossover model.
+"""Monte Carlo simulator for the crossover model.
 
-This is the empirical oracle for the analytic coverage engine: it draws
-whole trials at the subject level, pushes them through the same reduction
-and two-stage procedure as real data, and tallies coverage.
+This is the empirical oracle for the analytic coverage engine. It draws
+each replication's four between-group period differences, pushes them
+through ``trial.py``'s own estimators and two-stage procedure (the
+functions that analyse real data, applied to whole chunks of replications
+at once), and tallies coverage.
+
+The period differences are exactly Gaussian. A response is its group's
+fixed effect for the period, plus the subject's effect ~ N(0, sigma_s^2),
+plus an error ~ N(0, sigma_e^2). So group 1's period means minus group
+2's are
+
+    d = fd + (subject-effect mean 1 - mean 2) * (1, 1, 1, 1) + error differences,
+
+with fd = (theta, r - theta, theta - r, r - theta), r = psi / 0.75, and
+four independent error differences ~ N(0, m sigma_e^2), m = 1/n1 + 1/n2.
+The grand mean and the period effects cancel from fd by construction, and
+the subject term cancels from all three estimators, whose coefficients
+each sum to 0. So ``d = fd + sqrt(m) sigma_e z``, with z four independent
+standard normals, gives the estimates, the tally and the moments exactly
+the law of the subject-level model.
 
 Reproducibility contract
 ------------------------
-Replication ``r`` of a run with seed ``s`` consumes a fixed-width slice of
-the counter space of a Philox stream keyed by ``s``. Hits are therefore
-bit-identical regardless of chunking or evaluation order. Moments fold
-over the automatic chunks, fixed by the design and replication count, and
-take no ``chunk_size``. Any single replication can be regenerated in
-isolation with ``simulate_trial(design, params, seed, rep_index)``. Only
-``_raw_words`` positions and advances the stream.
+Replication ``r`` of a run with seed ``s`` is block ``r`` of the Philox
+stream keyed by ``s``: words 4r to 4r + 3, whose open uniforms give z
+through ``std_normal_inverse_cdf`` (scipy's ``ndtri``). Tallies are
+therefore bit-identical for any ``chunk_size``, and
+``_batch_estimates(config, r, 1)`` regenerates replication ``r`` alone.
+Moments fold over the automatic chunks of ``_CHUNK_REPS`` replications
+and take no ``chunk_size``. Only ``_philox_words`` positions and advances
+the stream.
 
-Normal variates are ``std_normal_inverse_cdf`` (scipy's ``ndtri``) of
-open-interval uniforms built from the raw 64-bit words. Each replication
-consumes exactly ``5 * (n1 + n2)`` raw words (one per subject effect, one
-per subject-period error), padded to a multiple of 4 words because Philox
-advances in 4-word blocks. One replication must fit in a chunk of
-``_CHUNK_WORDS`` words, so designs with n1 + n2 > 3,276 are refused before
-any draw. ``_responses`` maps the words to responses; ``trial.py``'s own
-reduction and two-stage procedure take it from there.
+``simulate_trial(design, params, seed, rep_index)`` draws the whole
+subject-level model from a layout of its own: ``5 * (n1 + n2)`` words per
+replication (one per subject effect, one per subject-period error),
+padded to whole 4-word blocks. It is the reference the tests check the
+tally's law against; it does not regenerate the tallied replication. One
+of its replications must fit in ``_CHUNK_WORDS`` words, so it refuses
+designs with n1 + n2 > 3,276 before any draw. The tally takes any design.
 """
 
 from __future__ import annotations
@@ -42,7 +59,6 @@ from .trial import (
     SubjectResponses,
     TrialDesign,
     TwoStageConfig,
-    _period_differences,
     _two_stage_rule,
     carryover_effect_estimate,
     pooled_effect_estimate,
@@ -56,6 +72,9 @@ _SEED_LIMIT = 2**64
 #: within 128 KiB, the C allocator's default threshold for mapping fresh
 #: pages, so successive chunks reuse the same heap memory.
 _CHUNK_WORDS = 16_384
+
+#: Replications per automatic chunk: one 4-word Philox block each.
+_CHUNK_REPS = _CHUNK_WORDS // 4
 
 
 @dataclass(frozen=True)
@@ -170,7 +189,7 @@ def _draws_per_rep(design: TrialDesign) -> int:
 
 
 def _padded_draws_per_rep(design: TrialDesign) -> int:
-    """Words per replication, padded to Philox's 4-word blocks; at most _CHUNK_WORDS."""
+    """Subject-level words per replication, padded to whole 4-word blocks; at most _CHUNK_WORDS."""
     b_pad = -(-_draws_per_rep(design) // 4) * 4
     if b_pad > _CHUNK_WORDS:
         raise DomainError(
@@ -181,13 +200,18 @@ def _padded_draws_per_rep(design: TrialDesign) -> int:
     return b_pad
 
 
+def _philox_words(seed: int, block: int, count: int) -> np.ndarray:
+    """count raw words of the Philox stream keyed by seed, from its 4-word block `block` on."""
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(block)
+    return bit_gen.random_raw(count)
+
+
 def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:
-    """The words of replications [start, start + count), one unpadded row each."""
+    """The subject-level words of replications [start, start + count), one unpadded row each."""
     b = _draws_per_rep(design)
     b_pad = _padded_draws_per_rep(design)
-    bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(start * b_pad // 4)
-    return bit_gen.random_raw(count * b_pad).reshape(count, b_pad)[:, :b]
+    return _philox_words(seed, start * b_pad // 4, count * b_pad).reshape(count, b_pad)[:, :b]
 
 
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -229,71 +253,85 @@ def _responses(design: TrialDesign, params: ModelParams,
     return y[:, :n1], y[:, n1:]
 
 
+def _fixed_differences(params: ModelParams) -> np.ndarray:
+    """fd, the period differences' means: _fixed_effects' row 0 minus row 1, exactly.
+
+    The grand mean and the period effects cancel in that difference, so
+    they do not enter here.
+    """
+    theta = params.treatment_difference
+    residual = params.differential_carryover / 0.75
+    # Python floats, which overflow to inf without a numpy warning;
+    # _check_precision refuses that.
+    return np.array([theta, residual - theta, theta - residual, residual - theta])
+
+
 def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,
                    rep_index: int) -> SubjectResponses:
-    """Replication rep_index of the run seeded with seed, drawn as in the batch engine."""
+    """Trial rep_index of the subject-level model seeded with seed.
+
+    Drawn from the subject-level layout, not the tally's: see the module's
+    reproducibility contract.
+    """
     seed = _checked_int("seed", seed, 0, _SEED_LIMIT)
     rep_index = _checked_int("rep_index", rep_index, 0)
     y1, y2 = _responses(design, params, _raw_words(seed, rep_index, 1, design))
     return SubjectResponses(group1=y1[0], group2=y2[0])
 
 
-def _auto_chunk(design: TrialDesign, replications: int) -> int:
-    # As many replications as fit in _CHUNK_WORDS words, at least one, since
-    # _padded_draws_per_rep refuses wider designs. Hits are chunk-independent;
-    # moments fold over these chunks.
-    return min(replications, _CHUNK_WORDS // _padded_draws_per_rep(design))
-
-
 def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> Iterator[tuple[int, int]]:
-    """(start, count) of each chunk, made lazily; chunk_size None sizes them."""
+    """(start, count) of each chunk, made lazily; chunk_size None means _CHUNK_REPS.
+
+    Hits are chunk-independent; moments fold over the automatic chunks.
+    """
     total = config.replications
-    if chunk_size is None:
-        size = _auto_chunk(config.design, total)
-    else:
-        size = _checked_int("chunk_size", chunk_size, 1)
+    size = _CHUNK_REPS if chunk_size is None else _checked_int("chunk_size", chunk_size, 1)
     return ((start, min(size, total - start)) for start in range(0, total, size))
 
 
 def _batch_estimates(config: SimConfig, start: int, count: int):
     """Estimator triple for replications [start, start + count), vectorized.
 
-    Element-for-element identical to running ``simulate_trial(design, params, seed,
-    rep_index)``, reduce_responses and estimate_effects on each replication in turn.
+    Replication r is Philox block r: its four words give z, and its period
+    differences are d = fd + sqrt(m) sigma_e z (the module docstring shows
+    this has the subject-level model's law). Element for element the same
+    as ``_batch_estimates(config, r, 1)`` for each r in turn.
     """
-    design = config.design
-    y1, y2 = _responses(design, config.params, _raw_words(config.seed, start, count, design))
-    d1, d2, d3, d4 = _period_differences(design, y1, y2).T
+    z = std_normal_inverse_cdf(_open_uniforms(_philox_words(config.seed, start, 4 * count)))
+    noise = math.sqrt(config.design.m) * config.two_stage.sigma_e
+    d1, d2, d3, d4 = (_fixed_differences(config.params) + noise * z.reshape(count, 4)).T
     return (pooled_effect_estimate(d1, d2, d3, d4),
             robust_effect_estimate(d1, d2, d3, d4),
             carryover_effect_estimate(d1, d2, d3, d4))
 
 
 def _check_precision(config: SimConfig) -> None:
-    """Refuse, before any draw, a run whose responses would round its noise away.
+    """Refuse, before any draw, a run whose period differences would round their noise away.
 
-    The open uniforms give |z| <= -Phi^-1(2^-53) = 8.2095..., so |response| <= M =
-    max |fixed effect| + 8.21 (sigma_s + sigma_e), which rounds by at most 2^-53 M.
-    The run needs M <= 2^33 s, s = sigma_e sqrt(m/4) the pooled estimator's std
+    The open uniforms give |z| <= -Phi^-1(2^-53) = 8.2095..., so |d| <= M =
+    max |fd| + 8.21 sqrt(m) sigma_e, which rounds by at most 2^-53 M. The run
+    needs M <= 2^33 s, s = sigma_e sqrt(m/4) the pooled estimator's std
     deviation, so that nothing rounds by more than 2^-20 s. Nor can anything then
-    overflow: |response| <= M <= 2^33 s, and sigma_e <= 1.35e154.
+    overflow: |d| <= M <= 2^33 s, and sigma_e <= 1.35e154.
     """
-    sigma_e = math.sqrt(config.params.error_var)
-    bound = (float(np.max(np.abs(_fixed_effects(config.params))))
-             + 8.21 * (math.sqrt(config.params.between_subject_var) + sigma_e))
+    sigma_e = config.two_stage.sigma_e
+    bound = (float(np.max(np.abs(_fixed_differences(config.params))))
+             + 8.21 * math.sqrt(config.design.m) * sigma_e)
     s = sigma_e * math.sqrt(config.design.m / 4.0)
     if not bound <= 2.0**33 * s:  # an overflowed, infinite bound fails too
-        raise NumericalError(f"responses up to M = {bound!r} round away noise of scale "
-                             f"s = {s!r} (M > 2**33 s) in replications [0, {config.replications})")
+        raise NumericalError(f"period differences up to M = {bound!r} round away noise of "
+                             f"scale s = {s!r} (M > 2**33 s) in replications "
+                             f"[0, {config.replications})")
 
 
 def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> EmpiricalCoverage:
-    """Simulate the full pipeline and tally coverage of the two-stage interval.
+    """Simulate the two-stage procedure and tally coverage of its interval.
 
-    Each replication is simulated, reduced, and run through the two-stage
-    procedure; a hit means the interval contains the true treatment
-    difference. Deterministic given the config (including its seed) and
-    independent of chunk_size, which only bounds working memory.
+    Each replication's period differences are drawn and run through the
+    estimators and the two-stage procedure; a hit means the interval
+    contains the true treatment difference. Deterministic given the config
+    (including its seed) and independent of chunk_size, which only bounds
+    working memory.
     """
     _check_precision(config)
     theta = config.params.treatment_difference

@@ -2,8 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 report. The Monte Carlo criteria (4, 5, 6 and 8) simulate up to a million
-replications per run and take about 20 s together on a 2-vCPU machine
-(criteria 6, 4, 8 and 5: 8.4, 7.7, 2.9 and 0.7 s).
+replications per run and take about 3 s together on a 2-vCPU machine
+(criteria 6, 4, 8 and 5: 1.5, 0.9, 0.3 and 0.03 s). Criterion 6(a) also
+runs the subject-level reference, which is most of its time.
 """
 
 import math
@@ -27,6 +28,7 @@ from crossover_coverage import (
     theoretical_moments,
 )
 from crossover_coverage.coverage import ROUTE_AGREEMENT_TOL
+from test_simulate import subject_level_tally
 
 PIVOT_PRETEST_CORR_REF = 0.9045340337332909  # 3/sqrt(11)
 
@@ -130,16 +132,18 @@ def test_criterion_5_estimator_distributions():
 
 def test_criterion_6_nuisance_and_design_invariance():
     # (a) grand-mean and period-effect shifts leave the simulated
-    # coverage statistics bit-identical at a fixed seed.
+    # coverage statistics bit-identical at a fixed seed: the tally's, which
+    # never sees them, and the subject-level model's, whose responses do.
     design = TrialDesign(3, 5)
     kwargs = dict(treatment_difference=0.7, differential_carryover=0.3,
                   between_subject_var=1.0, error_var=1.0)
     plain = ModelParams(**kwargs)
     shifted = ModelParams(grand_mean=3.7,
                           period_effects=(0.5, -1.25, 2.0, 3.75), **kwargs)
-    emp_plain = empirical_coverage(SimConfig(design, plain, 0.1, 0.05, 200_000, 77))
-    emp_shift = empirical_coverage(SimConfig(design, shifted, 0.1, 0.05, 200_000, 77))
-    assert emp_plain == emp_shift
+    for run in (empirical_coverage, subject_level_tally):
+        emp_plain = run(SimConfig(design, plain, 0.1, 0.05, 200_000, 77))
+        emp_shift = run(SimConfig(design, shifted, 0.1, 0.05, 200_000, 77))
+        assert emp_plain == emp_shift, run
 
     # (b) same gamma from different (n, subject variance) parameterizations:
     # identical analytic coverage, statistically consistent simulations.

@@ -2,10 +2,11 @@
 
 Each command runs in-process through ``cli.main`` with flags drawn from
 edge pools: signed zeros, subnormals, the largest floats, +/-inf, NaN and
-2**64 +/- 1, with at most 50 replications. Every invocation must exit 0, 1,
-2 or 3 (argparse's own usage errors included), let no exception escape,
-raise no warning and print no nan or inf. Runs are derandomized, so the
-suite draws the same invocations every time.
+2**64 +/- 1, with at most 50 replications (1,000 for validate, the fewest
+it runs). Every invocation must exit 0, 1, 2 or 3 (argparse's own usage
+errors included), let no exception escape, raise no warning and print no
+nan or inf. Runs are derandomized, so the suite draws the same
+invocations every time.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ FLOATS = ["0.1", "0.05", "0.5", "1.0", "4.5", "1e-300", "2.2250738585072014e-308
 N = [-1, 0, 1, 2, 10, 2**64 - 1, 2**64 + 1]
 GROUP_SIZES = [-1, 0, 1, 2, 8, 3277, 2**64 - 1]
 REPS = [-1, 0, 1, 2, 50]
+VALIDATE_REPS = [-1, 0, 1, 999, 1000]
 SEEDS = [-1, 0, 1, 2**63, 2**64 - 1, 2**64]
 STEPS = [-1, 0, 1, 2, 3, 801]
 
@@ -77,12 +79,13 @@ COMMANDS = {
     "efficiency": command(
         "efficiency", given_flag("sigma-s2", FLOATS),
         some_flags({"sigma-e2": FLOATS, "n": N}, 2)),
-    "validate": command("validate", some_flags({"seed": SEEDS}, 1), given_flag("reps", REPS)),
+    "validate": command("validate", some_flags({"seed": SEEDS}, 1),
+                        given_flag("reps", VALIDATE_REPS)),
 }
 
 
 #: Invocations per command. simulate and efficiency get more: most of their
-#: invocations are refused early, and the wide-design and variance-range
+#: invocations are refused early, and the huge designs and the variance-range
 #: checks need one edge value among otherwise valid flags.
 EXAMPLES = {"simulate": 100, "efficiency": 40}
 

@@ -35,34 +35,34 @@ crossover preferred: yes
 SIMULATE = """\
 gamma: 0.282842712474619
 analytic coverage: 0.879316
-empirical coverage: 0.878950 +/- 0.002306 (20000 replications)
-accept rate: 0.883950
-accept z score: -1.117
-z score: -0.159
+empirical coverage: 0.879650 +/- 0.002301 (20000 replications)
+accept rate: 0.886350
+accept z score: -0.047
+z score: 0.145
 result: PASS (|z| <= 3.5)
 """
 
 VALIDATE = """\
 PASS  route agreement: max gap 4.649e-16 over 45 triples (tol 5e-09)
-PASS  coverage gamma=0.0: analytic 0.914172 empirical 0.920000 z +0.93 (gate 3.5)
-PASS  accept rate gamma=0.0: analytic 0.900000 empirical 0.900500 z +0.07 (gate 3.5)
-PASS  coverage gamma=0.5: analytic 0.805033 empirical 0.813500 z +0.96 (gate 3.5)
+PASS  coverage gamma=0.0: analytic 0.914172 empirical 0.918500 z +0.69 (gate 3.5)
+PASS  accept rate gamma=0.0: analytic 0.900000 empirical 0.909000 z +1.34 (gate 3.5)
+PASS  coverage gamma=0.5: analytic 0.805033 empirical 0.808500 z +0.39 (gate 3.5)
 PASS  accept rate gamma=0.5: analytic 0.857883 empirical 0.852500 z -0.69 (gate 3.5)
-PASS  coverage gamma=1.0: analytic 0.555810 empirical 0.540000 z -1.42 (gate 3.5)
-PASS  accept rate gamma=1.0: analytic 0.736403 empirical 0.742500 z +0.62 (gate 3.5)
-PASS  coverage gamma=2.0: analytic 0.617811 empirical 0.617500 z -0.03 (gate 3.5)
-PASS  accept rate gamma=2.0: analytic 0.361106 empirical 0.358000 z -0.29 (gate 3.5)
-PASS  coverage gamma=4.0: analytic 0.948397 empirical 0.943500 z -0.99 (gate 3.5)
-PASS  accept rate gamma=4.0: analytic 0.009258 empirical 0.006000 z -1.52 (gate 3.5)
-PASS  moments mean_pooled: observed 0.392421 expected 0.400000 z -1.36 (gate 4)
-PASS  moments mean_robust: observed 0.674436 expected 0.700000 z -1.95 (gate 4)
-PASS  moments mean_carryover: observed 0.282015 expected 0.300000 z -1.52 (gate 4)
-PASS  moments var_pooled: observed 0.064982 expected 0.062500 z +1.26 (gate 4)
-PASS  moments var_robust: observed 0.350346 expected 0.343750 z +0.61 (gate 4)
-PASS  moments var_carryover: observed 0.288646 expected 0.281250 z +0.83 (gate 4)
-PASS  moments cov_pooled_carryover: observed -0.001641 expected 0.000000 z -0.55 (gate 4)
-PASS  moments cov_robust_carryover: observed 0.287005 expected 0.281250 z +0.61 (gate 4)
-PASS  moments corr_robust_carryover: observed 0.902522 expected 0.904534 z -0.49 (gate 4)
+PASS  coverage gamma=1.0: analytic 0.555810 empirical 0.554000 z -0.16 (gate 3.5)
+PASS  accept rate gamma=1.0: analytic 0.736403 empirical 0.738000 z +0.16 (gate 3.5)
+PASS  coverage gamma=2.0: analytic 0.617811 empirical 0.626500 z +0.80 (gate 3.5)
+PASS  accept rate gamma=2.0: analytic 0.361106 empirical 0.349500 z -1.08 (gate 3.5)
+PASS  coverage gamma=4.0: analytic 0.948397 empirical 0.946500 z -0.38 (gate 3.5)
+PASS  accept rate gamma=4.0: analytic 0.009258 empirical 0.011000 z +0.81 (gate 3.5)
+PASS  moments mean_pooled: observed 0.397366 expected 0.400000 z -0.47 (gate 4)
+PASS  moments mean_robust: observed 0.676551 expected 0.700000 z -1.79 (gate 4)
+PASS  moments mean_carryover: observed 0.279184 expected 0.300000 z -1.76 (gate 4)
+PASS  moments var_pooled: observed 0.060598 expected 0.062500 z -0.96 (gate 4)
+PASS  moments var_robust: observed 0.340229 expected 0.343750 z -0.32 (gate 4)
+PASS  moments var_carryover: observed 0.277581 expected 0.281250 z -0.41 (gate 4)
+PASS  moments cov_pooled_carryover: observed 0.001026 expected 0.000000 z +0.35 (gate 4)
+PASS  moments cov_robust_carryover: observed 0.278606 expected 0.281250 z -0.28 (gate 4)
+PASS  moments corr_robust_carryover: observed 0.906589 expected 0.904534 z +0.51 (gate 4)
 failures: 0
 """
 

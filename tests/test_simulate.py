@@ -1,7 +1,8 @@
-"""Tests for the subject-level Monte Carlo simulator."""
+"""Tests for the Monte Carlo simulator and its subject-level reference path."""
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from crossover_coverage import (
     CoverageQuery,
     DomainError,
     EmpiricalCoverage,
+    EstimatorMoments,
     ModelParams,
     NumericalError,
     SimConfig,
@@ -21,14 +23,24 @@ from crossover_coverage import (
     reduce_responses,
     scaled_carryover,
     simulate_trial,
+    std_normal_inverse_cdf,
     theoretical_moments,
     two_stage,
 )
 from crossover_coverage.simulate import (
-    _auto_chunk,
+    _CHUNK_REPS,
     _batch_estimates,
     _chunk_bounds,
     _open_uniforms,
+    _raw_words,
+    _responses,
+)
+from crossover_coverage.trial import (
+    _period_differences,
+    _two_stage_rule,
+    carryover_effect_estimate,
+    pooled_effect_estimate,
+    robust_effect_estimate,
 )
 
 
@@ -38,6 +50,54 @@ def make_config(n1=2, n2=2, theta=0.7, psi=0.3, sigma_s2=1.0, sigma_e2=1.0,
     params = ModelParams.from_effects(theta, psi, between_subject_var=sigma_s2,
                                       error_var=sigma_e2)
     return SimConfig.create(design, params, alpha1, alpha, replications, seed)
+
+
+# The subject-level model, run the way the tally runs the period differences:
+# simulate_trial's words and responses, trial.py's reduction and estimators.
+
+def subject_level_estimates(config, start, count):
+    """Estimator triple of the subject-level replications [start, start + count)."""
+    design = config.design
+    y1, y2 = _responses(design, config.params, _raw_words(config.seed, start, count, design))
+    d1, d2, d3, d4 = _period_differences(design, y1, y2).T
+    return (pooled_effect_estimate(d1, d2, d3, d4),
+            robust_effect_estimate(d1, d2, d3, d4),
+            carryover_effect_estimate(d1, d2, d3, d4))
+
+
+def subject_level_run(config):
+    """The subject-level run's tally, and its (3, replications) estimates."""
+    theta = config.params.treatment_difference
+    rule = _two_stage_rule(config.design, config.two_stage)
+    hits = accepts = 0
+    chunks = []
+    for start, count in _chunk_bounds(config, 2000):
+        x = np.stack(subject_level_estimates(config, start, count))
+        _, accepted, lo, hi = rule(*x)
+        hits += int(np.count_nonzero((lo <= theta) & (theta <= hi)))
+        accepts += int(np.count_nonzero(accepted))
+        chunks.append(x)
+    tally = EmpiricalCoverage(hits=hits, accepts=accepts, total=config.replications)
+    return tally, np.concatenate(chunks, axis=1)
+
+
+def subject_level_tally(config):
+    return subject_level_run(config)[0]
+
+
+def sample_moments(x):
+    """EstimatorMoments of (3, n) estimates, from np.cov over all of them."""
+    mean, cov = x.mean(axis=1), np.cov(x)
+    return EstimatorMoments(
+        mean_pooled=float(mean[0]), mean_robust=float(mean[1]),
+        mean_carryover=float(mean[2]), var_pooled=float(cov[0, 0]),
+        var_robust=float(cov[1, 1]), var_carryover=float(cov[2, 2]),
+        cov_pooled_carryover=float(cov[0, 2]), cov_robust_carryover=float(cov[1, 2]),
+        corr_robust_carryover=float(cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])))
+
+
+def subject_level_moments(config):
+    return sample_moments(subject_level_run(config)[1])
 
 
 class TestStreams:
@@ -137,8 +197,9 @@ class TestSimulateTrial:
 class TestBatchEngine:
     @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (1, 4)])
     def test_batch_matches_scalar_pipeline(self, n1, n2):
+        # The subject-level batch against simulate_trial, one trial at a time.
         config = make_config(n1=n1, n2=n2, replications=150, seed=33)
-        batch = np.column_stack(_batch_estimates(config, 0, 150))
+        batch = np.column_stack(subject_level_estimates(config, 0, 150))
         design, params = config.design, config.params
         for r in range(150):
             reduced = reduce_responses(design, simulate_trial(design, params, 33, r))
@@ -149,7 +210,7 @@ class TestBatchEngine:
 
     def test_hits_match_scalar_two_stage(self):
         config = make_config(replications=300, seed=5)
-        emp = empirical_coverage(config)
+        emp = subject_level_tally(config)
         theta = config.params.treatment_difference
         hits = accepts = 0
         for r in range(300):
@@ -161,16 +222,36 @@ class TestBatchEngine:
         assert emp.hits == hits
         assert emp.accept_rate == accepts / 300
 
+    @pytest.mark.parametrize("n1,n2", [(2, 2), (5, 10)])
+    def test_replication_is_its_philox_block(self, n1, n2):
+        # Replication r reads words 4r to 4r + 3 of the seed's stream, and
+        # its period differences are fd + sqrt(m) sigma_e z.
+        config = make_config(n1=n1, n2=n2, psi=0.9, sigma_e2=2.5, replications=9, seed=17)
+        words = np.random.Philox(key=17).random_raw(4 * 9).reshape(9, 4)
+        z = std_normal_inverse_cdf(_open_uniforms(words))
+        r = 0.9 / 0.75
+        fd = np.array([0.7, r - 0.7, 0.7 - r, r - 0.7])
+        d1, d2, d3, d4 = (fd + math.sqrt(config.design.m) * math.sqrt(2.5) * z).T
+        expected = (pooled_effect_estimate(d1, d2, d3, d4),
+                    robust_effect_estimate(d1, d2, d3, d4),
+                    carryover_effect_estimate(d1, d2, d3, d4))
+        for got, want in zip(_batch_estimates(config, 0, 9), expected):
+            assert np.array_equal(got, want)
+
+    def test_any_replication_regenerates_alone(self):
+        config = make_config(replications=_CHUNK_REPS + 3, seed=8)
+        whole = np.stack(_batch_estimates(config, 0, config.replications))
+        for r in (0, 1, _CHUNK_REPS - 1, _CHUNK_REPS, _CHUNK_REPS + 2):
+            assert np.array_equal(np.stack(_batch_estimates(config, r, 1))[:, 0], whole[:, r])
+
     def test_chunk_invariance(self):
-        config = make_config(replications=500, seed=9)
-        by_7 = empirical_coverage(config, chunk_size=7)
-        by_128 = empirical_coverage(config, chunk_size=128)
-        whole = empirical_coverage(config, chunk_size=500)
+        config = make_config(replications=9000, seed=9)
         auto = empirical_coverage(config)
-        assert by_7 == by_128 == whole == auto
+        for chunk_size in (1, 7, 1000, 4096, 9000):
+            assert empirical_coverage(config, chunk_size=chunk_size) == auto
 
     def test_chunks_are_produced_lazily(self):
-        # 1e8 replications make about half a million chunks; taking the
+        # 1e8 replications make about 24,000 chunks; taking the
         # first must not build the rest.
         config = make_config(n1=8, n2=8, replications=10**8, seed=1)
         tracemalloc.start()
@@ -179,12 +260,68 @@ class TestBatchEngine:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert first == (0, 204)
+        assert first == (0, 4096)
         assert peak < 2**20
 
     def test_chunk_size_checked_before_any_chunk(self):
         with pytest.raises(DomainError):
             _chunk_bounds(make_config(replications=10), 0)
+
+
+def assert_moments_near_closed_forms(sample, exact, n):
+    """Each moment within 4 of its large-sample standard errors, as validate gates them."""
+    rho = exact.corr_robust_carryover
+    var_rel_se = math.sqrt(2.0 / (n - 1))
+    std_err = EstimatorMoments(
+        mean_pooled=math.sqrt(exact.var_pooled / n),
+        mean_robust=math.sqrt(exact.var_robust / n),
+        mean_carryover=math.sqrt(exact.var_carryover / n),
+        var_pooled=exact.var_pooled * var_rel_se,
+        var_robust=exact.var_robust * var_rel_se,
+        var_carryover=exact.var_carryover * var_rel_se,
+        cov_pooled_carryover=math.sqrt(exact.var_pooled * exact.var_carryover / n),
+        cov_robust_carryover=math.sqrt((1.0 + rho * rho) * exact.var_robust
+                                       * exact.var_carryover / n),
+        corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(n),
+    )
+    for field in fields(EstimatorMoments):
+        got, want, se = (getattr(m, field.name) for m in (sample, exact, std_err))
+        assert abs(got - want) <= 4.0 * se, (field.name, got, want)
+
+
+def two_sample_z(count_a, count_b, n):
+    """z of the difference of two rates of n trials each, at their pooled rate."""
+    pooled = (count_a + count_b) / (2 * n)
+    return (count_a - count_b) / n / math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+
+
+class TestSubjectLevelEquivalence:
+    # The tally draws only the period differences. At each setting it must
+    # agree in law with the subject-level model it replaces: hits and
+    # accepts in a two-sample test, and each side's moments against the
+    # closed forms. The two sides use different seeds, so their draws are
+    # independent.
+    REPS = 200_000
+
+    @pytest.mark.parametrize("n1,n2,psi,params", [
+        (8, 8, 0.73, {}),
+        (5, 10, 1.7, {"between_subject_var": 0.0, "error_var": 2.5}),
+        (1, 4, 0.9, {"between_subject_var": 100.0}),
+        (3, 5, 0.3, {"grand_mean": 3.7, "period_effects": (0.5, -1.25, 2.0, 3.75)}),
+    ], ids=["8-8", "5-10-no-subject-variance", "1-4-subject-variance-100",
+            "3-5-nuisance-shifts"])
+    def test_tally_and_moments_match_subject_level(self, n1, n2, psi, params):
+        design = TrialDesign(n1, n2)
+        model = ModelParams(0.7, psi, **params)
+        tally_config = SimConfig(design, model, 0.1, 0.05, self.REPS, 1801)
+        reference_config = SimConfig(design, model, 0.1, 0.05, self.REPS, 1802)
+        tally = empirical_coverage(tally_config)
+        reference, estimates = subject_level_run(reference_config)
+        assert abs(two_sample_z(tally.hits, reference.hits, self.REPS)) <= 4.0
+        assert abs(two_sample_z(tally.accepts, reference.accepts, self.REPS)) <= 4.0
+        exact = theoretical_moments(design, model)
+        assert_moments_near_closed_forms(estimator_moments(tally_config), exact, self.REPS)
+        assert_moments_near_closed_forms(sample_moments(estimates), exact, self.REPS)
 
 
 class TestEmpiricalCoverage:
@@ -247,7 +384,8 @@ class TestPinnedResults:
     # alpha1 = 0.1 and alpha = 0.05; two of the runs have sigma_e != 1.
     # Every step from the raw words to the tally is bit-reproducible, so a
     # change to the draws, the reduction or the two-stage rule that moves
-    # any decision shows here.
+    # any decision shows here. The first test pins the subject-level
+    # reference, the second the tally.
     @pytest.mark.parametrize("n1,n2,psi,sigma_e2,seed,hits,accept_rate", [
         (5, 10, 1.7, 2.5, 7, 11_313, 0.41965),
         (8, 8, 0.3, 1.0, 1729, 15_569, 0.8468),
@@ -256,11 +394,25 @@ class TestPinnedResults:
     def test_hits_and_accept_rate(self, n1, n2, psi, sigma_e2, seed, hits, accept_rate):
         config = make_config(n1=n1, n2=n2, psi=psi, sigma_e2=sigma_e2,
                              replications=20_000, seed=seed)
+        emp = subject_level_tally(config)
+        assert (emp.hits, emp.accept_rate) == (hits, accept_rate)
+
+    @pytest.mark.parametrize("n1,n2,psi,sigma_e2,seed,hits,accept_rate", [
+        (5, 10, 1.7, 2.5, 7, 11_477, 0.40975),
+        (8, 8, 0.3, 1.0, 1729, 15_591, 0.8504),
+        (1, 4, 0.0, 2.5, 0, 18_331, 0.8986),
+    ])
+    def test_tally_hits_and_accept_rate(self, n1, n2, psi, sigma_e2, seed, hits,
+                                        accept_rate):
+        config = make_config(n1=n1, n2=n2, psi=psi, sigma_e2=sigma_e2,
+                             replications=20_000, seed=seed)
         emp = empirical_coverage(config)
         assert (emp.hits, emp.accept_rate) == (hits, accept_rate)
 
 
 class TestNuisanceInvariance:
+    # The tally's fixed differences never see the grand mean or the period
+    # effects; the subject-level responses carry them until the reduction.
     def test_counts_bit_identical_under_mean_and_period_shifts(self):
         design = TrialDesign(3, 5)
         kwargs = dict(treatment_difference=0.7, differential_carryover=0.3,
@@ -268,9 +420,10 @@ class TestNuisanceInvariance:
         plain = ModelParams(**kwargs)
         shifted = ModelParams(grand_mean=3.7,
                               period_effects=(0.5, -1.25, 2.0, 3.75), **kwargs)
-        emp_plain = empirical_coverage(SimConfig(design, plain, 0.1, 0.05, 50_000, 99))
-        emp_shifted = empirical_coverage(SimConfig(design, shifted, 0.1, 0.05, 50_000, 99))
-        assert emp_plain == emp_shifted
+        for run in (empirical_coverage, subject_level_tally):
+            emp_plain = run(SimConfig(design, plain, 0.1, 0.05, 50_000, 99))
+            emp_shifted = run(SimConfig(design, shifted, 0.1, 0.05, 50_000, 99))
+            assert emp_plain == emp_shifted, run
 
     def test_moments_invariant_to_rounding_noise(self):
         # Exact cancellation of the shifts is impossible in floating
@@ -281,12 +434,13 @@ class TestNuisanceInvariance:
         plain = ModelParams(**kwargs)
         shifted = ModelParams(grand_mean=3.7,
                               period_effects=(0.5, -1.25, 2.0, 3.75), **kwargs)
-        mom_a = estimator_moments(SimConfig(design, plain, 0.1, 0.05, 20_000, 99))
-        mom_b = estimator_moments(SimConfig(design, shifted, 0.1, 0.05, 20_000, 99))
-        for field in ("mean_pooled", "mean_robust", "mean_carryover",
-                      "var_pooled", "var_robust", "var_carryover",
-                      "cov_pooled_carryover", "cov_robust_carryover"):
-            assert abs(getattr(mom_a, field) - getattr(mom_b, field)) <= 1e-12
+        for run in (estimator_moments, subject_level_moments):
+            mom_a = run(SimConfig(design, plain, 0.1, 0.05, 20_000, 99))
+            mom_b = run(SimConfig(design, shifted, 0.1, 0.05, 20_000, 99))
+            for field in ("mean_pooled", "mean_robust", "mean_carryover",
+                          "var_pooled", "var_robust", "var_carryover",
+                          "cov_pooled_carryover", "cov_robust_carryover"):
+                assert abs(getattr(mom_a, field) - getattr(mom_b, field)) <= 1e-12, run
 
 
 class TestEstimatorMoments:
@@ -312,14 +466,15 @@ class TestEstimatorMoments:
         # Estimator variances involve only the error variance; runs with
         # wildly different subject variances must agree within Monte
         # Carlo error (5% is ~11 standard errors at this size).
-        results = []
-        for i, sigma_s2 in enumerate((0.0, 1.0, 100.0)):
-            config = make_config(n1=4, n2=4, sigma_s2=sigma_s2,
-                                 replications=100_000, seed=300 + i)
-            results.append(estimator_moments(config))
-        for field in ("var_pooled", "var_robust", "var_carryover"):
-            vals = [getattr(r, field) for r in results]
-            assert max(vals) / min(vals) <= 1.05
+        for run in (estimator_moments, subject_level_moments):
+            results = []
+            for i, sigma_s2 in enumerate((0.0, 1.0, 100.0)):
+                config = make_config(n1=4, n2=4, sigma_s2=sigma_s2,
+                                     replications=100_000, seed=300 + i)
+                results.append(run(config))
+            for field in ("var_pooled", "var_robust", "var_carryover"):
+                vals = [getattr(r, field) for r in results]
+                assert max(vals) / min(vals) <= 1.05, run
 
     def test_single_replication(self):
         # One sample has no spread: the n divisor gives zeros, and the
@@ -338,7 +493,7 @@ class TestEstimatorMoments:
     def test_fold_matches_whole_sample(self, n1, n2):
         # The chunked fold against np.cov over all the run's estimates at
         # once, for runs ending inside, at and just past chunk boundaries.
-        size = _auto_chunk(TrialDesign(n1, n2), 10**9)
+        size = _CHUNK_REPS
         names = ("pooled", "robust", "carryover")
         for n in (1, 2, size - 1, size, size + 1, 3 * size + 7):
             config = make_config(n1=n1, n2=n2, sigma_s2=2.5, sigma_e2=0.4,
@@ -412,37 +567,40 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("run", [empirical_coverage, estimator_moments])
     def test_noise_rounded_away_raises(self, run):
-        # At n = (8, 8) the pooled std deviation is s = 0.25, so responses may
-        # reach 2**33 * s = 2**31 = 2.147e9 before their noise rounds away.
+        # At n = (8, 8) the pooled std deviation is s = 0.25, so the period
+        # differences may reach 2**33 * s = 2**31 = 2.147e9 before their
+        # noise rounds away. The subject variance cancels from every
+        # estimate, so the tally never draws it.
         run(make_config(n1=8, n2=8, theta=2.0e9, replications=10))
         run(make_config(n1=8, n2=8, sigma_s2=1e12, replications=10))
-        for kwargs in ({"theta": 2.2e9}, {"sigma_s2": 1e20}):
-            config = make_config(n1=8, n2=8, replications=10, **kwargs)
-            with pytest.raises(NumericalError, match=r"2\*\*33 s\) in replications \[0, 10\)"):
-                run(config)
+        assert (run(make_config(n1=8, n2=8, sigma_s2=1e20, replications=10))
+                == run(make_config(n1=8, n2=8, sigma_s2=1.0, replications=10)))
+        config = make_config(n1=8, n2=8, theta=2.2e9, replications=10)
+        with pytest.raises(NumericalError, match=r"2\*\*33 s\) in replications \[0, 10\)"):
+            run(config)
 
     def test_widest_design_fills_one_chunk(self):
-        # 5 * 3,276 = 16,380 words: one replication per chunk, within 128 KiB.
+        # 5 * 3,276 = 16,380 words fill one subject-level chunk. The tally
+        # draws 4 words per replication whatever the design.
         design = TrialDesign(1638, 1638)
         trial = simulate_trial(design, ModelParams(), 0, 0)
         assert trial.group1.shape == trial.group2.shape == (1638, 4)
-        assert _auto_chunk(design, 10) == 1
-        config = SimConfig(design, ModelParams(), 0.1, 0.05, 1, 0)
-        assert empirical_coverage(config).total == 1
+        config = SimConfig(design, ModelParams(), 0.1, 0.05, 10, 0)
+        assert list(_chunk_bounds(config, None)) == [(0, 10)]
+        assert empirical_coverage(config).total == 10
 
     # n1 + n2 = 3,277 and 2**64 - 1
     @pytest.mark.parametrize("n1,n2", [(1639, 1638), (2**64 - 2, 1)])
     def test_design_wider_than_a_chunk_raises(self, n1, n2):
+        # Only simulate_trial refuses: the tally takes any design.
         design = TrialDesign(n1, n2)
         match = rf"n1 \+ n2 = {n1 + n2} .* \(n1 \+ n2 <= 3276\)"
         with pytest.raises(DomainError, match=match):
             simulate_trial(design, ModelParams(), 0, 0)
         config = SimConfig(design, ModelParams(), 0.1, 0.05, 1, 0)
         for chunk_size in (None, 1):
-            with pytest.raises(DomainError, match=match):
-                empirical_coverage(config, chunk_size=chunk_size)
-        with pytest.raises(DomainError, match=match):
-            estimator_moments(config)
+            assert empirical_coverage(config, chunk_size=chunk_size).total == 1
+        assert math.isfinite(estimator_moments(config).mean_robust)
 
     def test_replications_positive(self):
         with pytest.raises(DomainError):

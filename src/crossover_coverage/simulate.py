@@ -33,12 +33,13 @@ and take no ``chunk_size``. Only ``_philox_words`` positions and advances
 the stream.
 
 ``simulate_trial(design, params, seed, rep_index)`` draws the whole
-subject-level model from a layout of its own: ``5 * (n1 + n2)`` words per
-replication (one per subject effect, one per subject-period error),
-padded to whole 4-word blocks. It is the reference the tests check the
-tally's law against; it does not regenerate the tallied replication. One
-of its replications must fit in ``_CHUNK_WORDS`` words, so it refuses
-designs with n1 + n2 > 3,276 before any draw. The tally takes any design.
+subject-level model from a layout of its own, which ``_raw_words`` alone
+writes: ``5 * (n1 + n2)`` words per trial (one per subject effect, one per
+subject-period error), padded to whole 4-word blocks. It is the reference
+the tests check the tally's law against; it does not regenerate the
+tallied replication. One trial may draw at most ``_CHUNK_WORDS`` words, so
+it refuses designs with n1 + n2 > 3,276 before any draw. That bounds one
+trial's draw, not a tally chunk: the tally takes any design.
 """
 
 from __future__ import annotations
@@ -184,22 +185,6 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
     )
 
 
-def _draws_per_rep(design: TrialDesign) -> int:
-    return 5 * (design.n1 + design.n2)
-
-
-def _padded_draws_per_rep(design: TrialDesign) -> int:
-    """Subject-level words per replication, padded to whole 4-word blocks; at most _CHUNK_WORDS."""
-    b_pad = -(-_draws_per_rep(design) // 4) * 4
-    if b_pad > _CHUNK_WORDS:
-        raise DomainError(
-            f"n1 + n2 = {design.n1 + design.n2} draws {b_pad} words per replication, "
-            f"over the {_CHUNK_WORDS}-word chunk (n1 + n2 <= {_CHUNK_WORDS // 5}); "
-            "coverage depends on the design only through gamma, so simulate a "
-            "smaller design at the same gamma")
-    return b_pad
-
-
 def _philox_words(seed: int, block: int, count: int) -> np.ndarray:
     """count raw words of the Philox stream keyed by seed, from its 4-word block `block` on."""
     bit_gen = np.random.Philox(key=seed)
@@ -208,9 +193,19 @@ def _philox_words(seed: int, block: int, count: int) -> np.ndarray:
 
 
 def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:
-    """The subject-level words of replications [start, start + count), one unpadded row each."""
-    b = _draws_per_rep(design)
-    b_pad = _padded_draws_per_rep(design)
+    """The subject-level words of replications [start, start + count), one unpadded row each.
+
+    A replication takes 5 (n1 + n2) words, padded to whole 4-word blocks;
+    one trial may draw at most _CHUNK_WORDS of them.
+    """
+    b = 5 * (design.n1 + design.n2)
+    b_pad = -(-b // 4) * 4
+    if b_pad > _CHUNK_WORDS:
+        raise DomainError(
+            f"n1 + n2 = {design.n1 + design.n2} draws {b_pad} words per trial, over the "
+            f"{_CHUNK_WORDS} one subject-level trial may draw (n1 + n2 <= {_CHUNK_WORDS // 5}); "
+            "coverage depends on the design only through gamma, so simulate a "
+            "smaller design at the same gamma")
     return _philox_words(seed, start * b_pad // 4, count * b_pad).reshape(count, b_pad)[:, :b]
 
 
@@ -219,18 +214,16 @@ def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     return ((raw >> 12).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def _fixed_effects(params: ModelParams) -> np.ndarray:
-    """The (2, 4) table of mean responses: group 1's periods, then group 2's."""
+def _treatment_table(params: ModelParams) -> np.ndarray:
+    """The (2, 4) treatment and residual effects: rows ABAB and BABA, periods as columns.
+
+    Period 1 carries no residual effect; each later period carries the
+    residual of the treatment before it. B's effect and residual effect are 0.
+    """
     theta = params.treatment_difference
     residual = params.differential_carryover / 0.75
-    # Period 1 carries no residual effect; afterwards each period carries
-    # the residual of the treatment given in the period before it. B's
-    # effect and residual effect are 0. The sums are of Python floats,
-    # which overflow to inf without a numpy warning; callers report it.
-    mu = params.grand_mean
-    p1, p2, p3, p4 = params.period_effects
-    return np.array([[mu + p1 + theta, mu + p2 + residual, mu + p3 + theta, mu + p4 + residual],
-                     [mu + p1, mu + p2 + theta, mu + p3 + residual, mu + p4 + theta]])
+    return np.array([[theta, residual, theta, residual],
+                     [0.0, theta, residual, theta]])
 
 
 def _responses(design: TrialDesign, params: ModelParams,
@@ -248,22 +241,23 @@ def _responses(design: TrialDesign, params: ModelParams,
     z = std_normal_inverse_cdf(_open_uniforms(raw))
     sigma_s = math.sqrt(params.between_subject_var)
     sigma_e = math.sqrt(params.error_var)
-    y = (np.repeat(_fixed_effects(params), [n1, n2], axis=0) + sigma_s * z[:, :total, None]
+    # An overflowed mean is inf, which SubjectResponses refuses.
+    with np.errstate(over="ignore"):
+        means = _treatment_table(params) + (params.grand_mean + np.array(params.period_effects))
+    y = (np.repeat(means, [n1, n2], axis=0) + sigma_s * z[:, :total, None]
          + sigma_e * z[:, total:].reshape(-1, total, 4))
     return y[:, :n1], y[:, n1:]
 
 
 def _fixed_differences(params: ModelParams) -> np.ndarray:
-    """fd, the period differences' means: _fixed_effects' row 0 minus row 1, exactly.
+    """fd, the period differences' means: the treatment table's row 0 minus row 1.
 
     The grand mean and the period effects cancel in that difference, so
     they do not enter here.
     """
-    theta = params.treatment_difference
-    residual = params.differential_carryover / 0.75
-    # Python floats, which overflow to inf without a numpy warning;
-    # _check_precision refuses that.
-    return np.array([theta, residual - theta, theta - residual, residual - theta])
+    table = _treatment_table(params)
+    with np.errstate(over="ignore"):  # to inf, which _check_precision refuses
+        return table[0] - table[1]
 
 
 def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,

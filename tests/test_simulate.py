@@ -193,6 +193,13 @@ class TestSimulateTrial:
         assert abs(est.robust_effect - 1.0) < 1e-140
         assert abs(est.carryover_effect - 0.75) < 1e-140
 
+    def test_overflowed_mean_refused_without_warning(self):
+        # grand_mean + theta overflows to inf. The suite turns warnings
+        # into errors, so a numpy overflow warning would fail here first.
+        params = ModelParams(1e308, 0.0, 1.0, 1.0, grand_mean=1e308)
+        with pytest.raises(DomainError, match="group1 must be finite"):
+            simulate_trial(TrialDesign(2, 2), params, 1, 0)
+
 
 class TestBatchEngine:
     @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (1, 4)])
@@ -563,6 +570,13 @@ class TestConfigValidation:
         # be tallied as misses or averaged into moments.
         config = make_config(theta=1e308, replications=10)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"\[0, 10\)"):
+            run(config)
+
+    @pytest.mark.parametrize("run", [empirical_coverage, estimator_moments])
+    def test_overflowed_fixed_difference_refused_without_warning(self, run):
+        # r - theta = 1e308 + 1e308 overflows fd to inf, under no errstate.
+        config = make_config(theta=-1e308, psi=0.75e308, replications=10)
+        with pytest.raises(NumericalError, match=r"M = inf"):
             run(config)
 
     @pytest.mark.parametrize("run", [empirical_coverage, estimator_moments])

@@ -16,12 +16,18 @@ Its coverage grids use an array form that holds h fixed and varies k.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import owens_t
 
 from .errors import DomainError, _checked_real
 from .normal import _cdf, _cdf_array
+
+#: Bounds smaller in magnitude are read as 0. Phi2 is 0.4-Lipschitz in each
+#: bound, so this moves it by under 1e-308, and it spares the T terms' ratios
+#: subnormal operands, which lose precision or underflow to 0.
+_TINY = sys.float_info.min
 
 
 def _checked_rho(rho) -> float:
@@ -43,6 +49,10 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
         return _cdf(min(h, k))
     if rho == -1.0:
         return max(0.0, _cdf(h) - _cdf(-k))
+    if abs(h) < _TINY:
+        h = 0.0
+    if abs(k) < _TINY:
+        k = 0.0
     if h == 0.0 and k == 0.0:
         return 0.25 + math.asin(rho) / (2.0 * math.pi)
 
@@ -56,17 +66,20 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
         t_k = 0.25 if h > 0.0 else -0.25
     else:
         t_k = float(owens_t(k, (h - rho * k) / (k * denom)))
-    delta = 0.5 if (h * k < 0.0 or (h * k == 0.0 and h + k < 0.0)) else 0.0
+    # The quadrant correction applies when exactly one bound is negative. It
+    # reads the signs, not h * k, which can underflow to 0.
+    delta = 0.5 if (h < 0.0) != (k < 0.0) else 0.0
     value = 0.5 * (_cdf(h) + _cdf(k)) - t_h - t_k - delta
     return min(1.0, max(0.0, value))
 
 
 def _bvn_cdf_array(h: float, k: np.ndarray, rho: float) -> np.ndarray:
-    """_bvn_cdf at one finite nonzero h and every entry of an array of finite k.
+    """_bvn_cdf at one finite h, |h| >= _TINY, and every entry of an array of finite k.
 
     Unchecked, for -1 < rho < 1: the same reduction term by term, so each
     entry matches the scalar function up to the erfc backend's last ulp.
     """
+    k = np.where(np.abs(k) < _TINY, 0.0, k)
     denom = math.sqrt(1.0 - rho * rho)
     t_h = owens_t(h, (k - rho * h) / (h * denom))
     k_zero = k == 0.0
@@ -74,8 +87,7 @@ def _bvn_cdf_array(h: float, k: np.ndarray, rho: float) -> np.ndarray:
     k_safe = np.where(k_zero, 1.0, k)
     t_k = np.where(k_zero, 0.25 if h > 0.0 else -0.25,
                    owens_t(k_safe, (h - rho * k_safe) / (k_safe * denom)))
-    hk = h * k
-    delta = np.where((hk < 0.0) | ((hk == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    delta = np.where((k < 0.0) != (h < 0.0), 0.5, 0.0)
     value = 0.5 * (_cdf(h) + _cdf_array(k)) - t_h - t_k - delta
     return np.clip(value, 0.0, 1.0)
 

@@ -222,27 +222,26 @@ def cmd_validate(args) -> int:
     # (c) estimator moments against their closed forms.
     mom_design = TrialDesign(8, 8)
     mom_params = ModelParams(0.7, 0.3, between_subject_var=1.0, error_var=1.0)
-    mom_reps = min(reps, 100_000)
-    mom_config = SimConfig(mom_design, mom_params, alpha1, alpha, mom_reps, seed)
+    mom_config = SimConfig(mom_design, mom_params, alpha1, alpha, reps, seed)
     sample = estimator_moments(mom_config)
     exact = theoretical_moments(mom_design, mom_params)
     # The standard error of each sample moment, field by field. They scale
     # with 1/sqrt(reps), so smoke runs with few replications get
     # correspondingly wide gates automatically.
     rho = exact.corr_robust_carryover
-    var_rel_se = math.sqrt(2.0 / (mom_reps - 1))
+    var_rel_se = math.sqrt(2.0 / (reps - 1))
     std_err = EstimatorMoments(
-        mean_pooled=math.sqrt(exact.var_pooled / mom_reps),
-        mean_robust=math.sqrt(exact.var_robust / mom_reps),
-        mean_carryover=math.sqrt(exact.var_carryover / mom_reps),
+        mean_pooled=math.sqrt(exact.var_pooled / reps),
+        mean_robust=math.sqrt(exact.var_robust / reps),
+        mean_carryover=math.sqrt(exact.var_carryover / reps),
         var_pooled=exact.var_pooled * var_rel_se,
         var_robust=exact.var_robust * var_rel_se,
         var_carryover=exact.var_carryover * var_rel_se,
         cov_pooled_carryover=math.sqrt(exact.var_pooled * exact.var_carryover
-                                       / mom_reps),
+                                       / reps),
         cov_robust_carryover=math.sqrt((1.0 + rho * rho) * exact.var_robust
-                                       * exact.var_carryover / mom_reps),
-        corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(mom_reps),
+                                       * exact.var_carryover / reps),
+        corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(reps),
     )
     for field in fields(EstimatorMoments):
         name = field.name

@@ -75,7 +75,8 @@ _SEARCH_GRID_STEP = 0.01
 _SEARCH_XATOL = 1e-6
 
 #: Most gamma values evaluated in one array pass. Longer grids go block by
-#: block, so memory stays flat however many points a curve has.
+#: block, which bounds quad_vec's working arrays; coverage_curve still holds
+#: every point it returns, so a curve's memory grows with its points.
 _GRID_BLOCK = 4096
 
 

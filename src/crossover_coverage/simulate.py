@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
     theta = params.treatment_difference
     psi = params.differential_carryover
     noise = m * params.error_var
-    return EstimatorMoments(
+    moments = EstimatorMoments(
         mean_pooled=theta - psi,
         mean_robust=theta,
         mean_carryover=psi,
@@ -183,6 +183,9 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
         cov_robust_carryover=9.0 * noise / 8.0,
         corr_robust_carryover=PIVOT_PRETEST_CORR,
     )
+    if not all(map(math.isfinite, astuple(moments))):
+        raise NumericalError(f"the exact moments overflow: {moments}")
+    return moments
 
 
 def _philox_words(seed: int, block: int, count: int) -> np.ndarray:
@@ -351,15 +354,20 @@ def estimator_moments(config: SimConfig) -> EstimatorMoments:
     n = 0
     mean = np.zeros(3)  # pooled, robust, carryover
     comoment = np.zeros((3, 3))  # sums of products of deviations from mean
-    for start, count in _chunk_bounds(config, None):
-        x = np.stack(_batch_estimates(config, start, count))
-        delta = x.mean(axis=1) - mean
-        n += count
-        mean += delta * (count / n)
-        comoment += count * (np.cov(x, ddof=0) + np.outer(delta, delta) * ((n - count) / n))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for start, count in _chunk_bounds(config, None):
+            x = np.stack(_batch_estimates(config, start, count))
+            delta = x.mean(axis=1) - mean
+            n += count
+            mean += delta * (count / n)
+            comoment += count * (np.cov(x, ddof=0) + np.outer(delta, delta) * ((n - count) / n))
+    if not np.isfinite(comoment).all():
+        raise NumericalError(f"the estimators' co-moments overflow in replications [0, {n})")
     cov = comoment / (n - 1 if n > 1 else n)
     var_r, var_c, cov_rc = float(cov[1, 1]), float(cov[2, 2]), float(cov[1, 2])
-    corr = cov_rc / math.sqrt(var_r * var_c) if var_r > 0.0 and var_c > 0.0 else math.nan
+    # Two roots: the product of the variances can overflow or underflow.
+    corr = (cov_rc / (math.sqrt(var_r) * math.sqrt(var_c))
+            if var_r > 0.0 and var_c > 0.0 else math.nan)
     return EstimatorMoments(
         mean_pooled=float(mean[0]),
         mean_robust=float(mean[1]),

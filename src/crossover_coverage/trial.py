@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _checked_int, _checked_items, _checked_real
+from .errors import DomainError, NumericalError, _checked_int, _checked_items, _checked_real
 from .normal import _as_float_array, std_normal_quantile
 
 
@@ -172,7 +172,10 @@ def reduce_responses(design: TrialDesign, responses: SubjectResponses) -> Period
         raise DomainError(
             f"responses have groups of size {responses.group1.shape[0]} and "
             f"{responses.group2.shape[0]}; design says {design.n1} and {design.n2}")
-    d = _period_differences(design, responses.group1, responses.group2)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d = _period_differences(design, responses.group1, responses.group2)
+    if not np.isfinite(d).all():
+        raise NumericalError(f"the period differences overflow: {d.tolist()}")
     return PeriodDifferences(float(d[0]), float(d[1]), float(d[2]), float(d[3]))
 
 
@@ -197,13 +200,16 @@ def carryover_effect_estimate(d1, d2, d3, d4):
 
 
 def estimate_effects(reduced: PeriodDifferences) -> EffectEstimates:
-    """Compute the three estimators from the period differences."""
+    """Compute the three estimators from the period differences; an overflow raises."""
     d1, d2, d3, d4 = reduced.d1, reduced.d2, reduced.d3, reduced.d4
-    return EffectEstimates(
+    estimates = EffectEstimates(
         pooled_effect=pooled_effect_estimate(d1, d2, d3, d4),
         robust_effect=robust_effect_estimate(d1, d2, d3, d4),
         carryover_effect=carryover_effect_estimate(d1, d2, d3, d4),
     )
+    if not all(map(math.isfinite, estimates)):
+        raise NumericalError(f"the estimates overflow: {estimates} from {reduced}")
+    return estimates
 
 
 def carryover_scale(m: float) -> float:
@@ -219,7 +225,11 @@ def scaled_carryover(psi: float, design: TrialDesign, sigma_e: float) -> float:
     """
     sigma_e = _checked_real("sigma_e", sigma_e, sign="positive")
     psi = _checked_real("psi", psi)
-    return carryover_scale(design.m) * psi / sigma_e
+    gamma = carryover_scale(design.m) * psi / sigma_e
+    if math.isinf(gamma):
+        raise NumericalError(f"the scaled carryover overflows: psi = {psi!r}, "
+                             f"sigma_e = {sigma_e!r}, m = {design.m!r}")
+    return gamma
 
 
 def _two_stage_rule(design: TrialDesign, config: TwoStageConfig):
@@ -250,6 +260,10 @@ def two_stage(reduced: PeriodDifferences, design: TrialDesign,
     narrow interval around the pooled estimator, rejection the wide one
     around the robust estimator.
     """
-    stat, accepted, lo, hi = _two_stage_rule(design, config)(*estimate_effects(reduced))
+    with np.errstate(over="ignore"):  # refused below
+        stat, accepted, lo, hi = _two_stage_rule(design, config)(*estimate_effects(reduced))
+    if not (math.isfinite(stat) and math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError(f"the pretest statistic {float(stat)!r} or the interval "
+                             f"[{float(lo)!r}, {float(hi)!r}] overflows")
     return TwoStageOutcome(pretest_stat=float(stat), h0_accepted=bool(accepted),
                            interval_lo=float(lo), interval_hi=float(hi))

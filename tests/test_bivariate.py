@@ -127,3 +127,39 @@ class TestBvnCdfArray:
                 values = _bvn_cdf_array(h, ks, rho)
                 for k, value in zip(self.KS, values):
                     assert abs(value - _bvn_cdf(h, k, rho)) <= 5e-16, (h, k, rho)
+
+
+class TestTinyBounds:
+    # Phi2 is 0.4-Lipschitz in each bound, so a subnormal bound must give the
+    # value at 0 to within 1e-15. The quadrant correction once read h * k,
+    # which underflows to -0.0 (an error of 1/2), and h * sqrt(1 - rho**2)
+    # underflowed to a zero divisor at |rho| >= 0.75.
+    SUBNORMAL = [5e-324, -5e-324, 1e-310, -1e-310]
+    OTHERS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5]
+    RHOS = [-0.9, 0.3, 0.5, 0.9, PIVOT_PRETEST_CORR]
+
+    @staticmethod
+    def at_zero(x):
+        return 0.0 if abs(x) < 2.0**-1022 else x
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_subnormal_bound_reads_as_zero(self, rho):
+        for h in self.SUBNORMAL:
+            for k in self.SUBNORMAL + self.OTHERS:
+                want = bvn_cdf(self.at_zero(h), self.at_zero(k), rho)
+                assert abs(bvn_cdf(h, k, rho) - want) <= 1e-15, (h, k, rho)
+                assert abs(bvn_cdf(k, h, rho) - want) <= 1e-15, (k, h, rho)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_quadrant_from_signs_when_the_product_underflows(self, rho):
+        # Normal bounds whose product underflows to -0.0.
+        for h, k in ((-1e-200, 1e-200), (1e-200, -1e-200)):
+            assert abs(bvn_cdf(h, k, rho) - bvn_cdf(0.0, 0.0, rho)) <= 1e-15, (h, k, rho)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_array_agrees_at_subnormal_k(self, rho):
+        ks = self.SUBNORMAL + self.OTHERS
+        for h in (1.959963984540054, -0.5):
+            for k, value in zip(ks, _bvn_cdf_array(h, np.array(ks), rho)):
+                assert abs(value - _bvn_cdf(h, k, rho)) <= 5e-16, (h, k, rho)
+                assert abs(value - _bvn_cdf(h, self.at_zero(k), rho)) <= 1e-15, (h, k, rho)

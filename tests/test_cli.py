@@ -15,6 +15,7 @@ from crossover_coverage import (
     RouteDisagreementError,
     TrialDesign,
     coverage_probability,
+    estimator_moments,
     scaled_carryover,
 )
 from crossover_coverage.cli import main
@@ -305,6 +306,18 @@ class TestValidate:
             lambda d1, d2, d3, d4: 0.9 * (d1 - d3))
         assert main(["validate", "--reps", "2000", "--seed", "1729"]) == 1
         assert re.search(r"^FAIL  accept rate gamma=", capsys.readouterr().out, re.M)
+
+    def test_moments_run_at_the_requested_replications(self, capsys, monkeypatch):
+        # The moments fold in flat memory, so --reps is not capped for them.
+        seen = []
+
+        def recording(config):
+            seen.append(config.replications)
+            return estimator_moments(config)
+
+        monkeypatch.setattr(crossover_coverage.cli, "estimator_moments", recording)
+        assert main(["validate", "--reps", "200000", "--seed", "1729"]) == 0
+        assert seen == [200_000]
 
     def test_route_disagreement_is_a_failed_check(self, capsys, monkeypatch):
         # The routes raise past their tolerance; validate reports that as

@@ -496,6 +496,24 @@ class TestEstimatorMoments:
             assert getattr(moments, field) == 0.0
         assert math.isnan(moments.corr_robust_carryover)
 
+    @pytest.mark.parametrize("error_var", [1e-300, 1e-160, 1e200, 1e300])
+    def test_correlation_free_of_error_scale(self, error_var):
+        # The product of the two variances underflows or overflows at these
+        # scales; the correlation of the rescaled estimates must not see it.
+        def corr(error_var):
+            return estimator_moments(make_config(
+                n1=3, n2=4, theta=0.0, psi=0.0, sigma_e2=error_var,
+                replications=1000, seed=1)).corr_robust_carryover
+
+        assert abs(corr(error_var) - corr(1.0)) <= 1e-12
+
+    def test_overflowing_comoments_raise(self):
+        # At n = (1, 1) and error variance 1e308 the robust variance is
+        # 2.75e308; the fold must refuse it, not warn and return inf.
+        config = make_config(n1=1, n2=1, sigma_e2=1e308, replications=1000, seed=1)
+        with pytest.raises(NumericalError, match=r"overflow in replications \[0, 1000\)"):
+            estimator_moments(config)
+
     @pytest.mark.parametrize("n1,n2", [(8, 8), (5, 10), (1, 4)])
     def test_fold_matches_whole_sample(self, n1, n2):
         # The chunked fold against np.cov over all the run's estimates at

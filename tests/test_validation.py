@@ -4,21 +4,28 @@ Each scalar argument rejects booleans, strings and NaN with DomainError,
 accepts numpy scalars, and is kept as a plain Python number.
 """
 
+import dataclasses
 import inspect
 import math
+import numbers
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossover_coverage
 from crossover_coverage import (
     CoverageQuery,
     DomainError,
     ModelParams,
+    NumericalError,
     PeriodDifferences,
     SimConfig,
+    SubjectResponses,
     TrialDesign,
     TwoStageConfig,
     bvn_rectangle,
@@ -26,13 +33,18 @@ from crossover_coverage import (
     coverage_probability,
     efficiency_comparison,
     empirical_coverage,
+    estimate_effects,
+    estimator_moments,
     min_coverage,
     min_coverage_table,
+    reduce_responses,
     reject_cover_routes,
     scaled_carryover,
     simulate_trial,
     std_normal_inverse_cdf,
     std_normal_quantile,
+    theoretical_moments,
+    two_stage,
 )
 
 DESIGN = TrialDesign(2, 2)
@@ -158,8 +170,11 @@ SIGNED = [
 
 # The smallest positive value each signed argument accepts, where that is
 # not 5e-324: efficiency_comparison also needs var_robust = 11 sigma_e2 / (4 n)
-# to be a normal float, which at n = 10 takes sigma_e2 >= 40/11 * 2**-1022.
-SMALLEST_ACCEPTED = {"efficiency_comparison-sigma_e2": 4.0 * sys.float_info.min}
+# to be a normal float, which at n = 10 takes sigma_e2 >= 40/11 * 2**-1022;
+# scaled_carryover needs sqrt(8/9) * 0.3 / sigma_e to be finite, which takes
+# sigma_e >= about 1.6e-309, so a subnormal sigma_e raises NumericalError.
+SMALLEST_ACCEPTED = {"efficiency_comparison-sigma_e2": 4.0 * sys.float_info.min,
+                     "scaled_carryover-sigma_e": sys.float_info.min}
 
 
 @pytest.mark.parametrize("fn,sign,smallest", [
@@ -172,3 +187,100 @@ def test_sign_rules(fn, sign, smallest):
             fn(bad)
     for good in (smallest, 1.0) + (zeros if sign == "nonnegative" else ()):
         fn(good)
+
+
+# Edge values for generated arguments. 0 and 2**64 +/- 1 are ints, so integer
+# arguments draw them too; a float handed to one of those is refused.
+EDGES = [0, -0.0, 5e-324, 2.0**-1022, 1e-300, 1e154, 1e300, 1e308, -1e308,
+         2**64 - 1, 2**64 + 1]
+
+# Arguments that draw from a pool of their own, and why: a curve of 2**64
+# points is work beyond any machine, and numpy refuses to lay it out with a
+# ValueError of its own before coverage_curve can refuse it.
+POOLS = {"steps": [0, 2, 3]}
+
+# The exempt public callables, each reached from scalars.
+COMPOSED = [
+    ("estimate_effects",
+     lambda d1, d2, d3, d4: estimate_effects(PeriodDifferences(d1, d2, d3, d4)),
+     dict(d1=0.5, d2=-1.0, d3=0.25, d4=2.0)),
+    ("two_stage",
+     lambda d1, d2, d3, d4, n1, n2, alpha1, alpha, sigma_e: two_stage(
+         PeriodDifferences(d1, d2, d3, d4), TrialDesign(n1, n2),
+         TwoStageConfig(alpha1, alpha, sigma_e)),
+     dict(d1=0.5, d2=-1.0, d3=0.25, d4=2.0, n1=2, n2=3, alpha1=0.1, alpha=0.05,
+          sigma_e=1.0)),
+    # (1, 1) has the largest m, so the variances overflow first there.
+    ("theoretical_moments",
+     lambda n1, n2, theta, psi, error_var: theoretical_moments(
+         TrialDesign(n1, n2), ModelParams(theta, psi, error_var=error_var)),
+     dict(n1=1, n2=1, theta=0.7, psi=0.3, error_var=1.0)),
+    # Few replications: the generated design and model are the edge cases.
+    ("estimator_moments",
+     lambda n1, n2, theta, psi, error_var, seed: estimator_moments(SimConfig(
+         TrialDesign(n1, n2), ModelParams(theta, psi, error_var=error_var),
+         0.1, 0.05, 20, seed)),
+     dict(n1=2, n2=3, theta=0.7, psi=0.3, error_var=1.0, seed=3)),
+    ("coverage_probability",
+     lambda gamma, alpha1, alpha: coverage_probability(CoverageQuery(gamma, alpha1, alpha)),
+     dict(gamma=0.5, alpha1=0.1, alpha=0.05)),
+]
+
+
+def _all_finite(result) -> bool:
+    """Whether every number in result, through dataclasses, tuples and arrays, is finite."""
+    if dataclasses.is_dataclass(result):
+        return all(_all_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, (tuple, list)):
+        return all(map(_all_finite, result))
+    if isinstance(result, np.ndarray):
+        return bool(np.isfinite(result).all())
+    if isinstance(result, numbers.Integral):  # bools and ints past float range too
+        return True
+    return math.isfinite(result)
+
+
+@pytest.mark.parametrize("fn,kwargs", [pytest.param(fn, kwargs, id=name)
+                                       for name, fn, kwargs in ENTRY_POINTS + COMPOSED])
+def test_generated_arguments_give_finite_results_or_refusals(fn, kwargs):
+    # One or two arguments take edge values; the rest keep their valid ones.
+    edges = [(arg, v) for arg in kwargs for v in POOLS.get(arg, EDGES)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chosen=st.lists(st.sampled_from(edges), min_size=1, max_size=2))
+    def run(chosen):
+        drawn = {**kwargs, **dict(chosen)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = fn(**drawn)
+            except (DomainError, NumericalError):
+                return
+        assert _all_finite(result), (drawn, result)
+
+    run()
+
+
+# Results that overflow from finite arguments, each refused by the public
+# function; the array estimators on the tally's path do not check.
+OVERFLOWS = {
+    "scaled_carryover": lambda: scaled_carryover(0.3, DESIGN, 5e-324),
+    "theoretical_moments": lambda: theoretical_moments(TrialDesign(1, 1),
+                                                       ModelParams(0, 0.3, 1.0, 1e308)),
+    "estimate_effects": lambda: estimate_effects(PeriodDifferences(-1e308, 0, -1e308, 0)),
+    "two_stage-estimates": lambda: two_stage(PeriodDifferences(-1e308, 0, -1e308, 0), DESIGN,
+                                             TwoStageConfig(0.1, 0.05, 1.0)),
+    "two_stage-pretest": lambda: two_stage(PeriodDifferences(1.0, 0, 0, 0), DESIGN,
+                                           TwoStageConfig(0.1, 0.05, 5e-324)),
+    "two_stage-interval": lambda: two_stage(PeriodDifferences(1e308, 0, 0.5e308, 0), DESIGN,
+                                            TwoStageConfig(0.1, 0.05, 1.7e308)),
+    # Both groups' sums overflow to inf, and inf - inf is nan.
+    "reduce_responses": lambda: reduce_responses(DESIGN, SubjectResponses(
+        np.full((2, 4), 1e308), np.full((2, 4), 1e308))),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_overflowing_results_refused(call):
+    with pytest.raises(NumericalError, match="overflow"):
+        call()

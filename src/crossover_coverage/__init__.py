@@ -11,7 +11,6 @@ below the nominal level.
 
 from .bivariate import bvn_rectangle
 from .coverage import (
-    PIVOT_PRETEST_CORR,
     CoverageQuery,
     CoverageResult,
     CurvePoint,
@@ -42,6 +41,7 @@ from .simulate import (
     theoretical_moments,
 )
 from .trial import (
+    PIVOT_PRETEST_CORR,
     EffectEstimates,
     ModelParams,
     PeriodDifferences,

@@ -48,15 +48,14 @@ from .errors import (
     _checked_real,
 )
 from .normal import _cdf, _cdf_array, _pdf, std_normal_quantile
+from .trial import _VAR_CARRYOVER, _VAR_POOLED, _VAR_ROBUST, PIVOT_PRETEST_CORR
 
-#: Correlation between the robust-branch pivot and the pretest statistic.
 #: Given the robust pivot g, the pretest statistic has mean
-#: gamma + PIVOT_PRETEST_CORR * g and variance 2/11.
-PIVOT_PRETEST_CORR = 3.0 / math.sqrt(11.0)
-_INV_COND_SD = math.sqrt(11.0 / 2.0)
+#: gamma + PIVOT_PRETEST_CORR * g and variance 1 - PIVOT_PRETEST_CORR**2.
+_INV_COND_SD = 1.0 / math.sqrt(1.0 - PIVOT_PRETEST_CORR**2)
 
-#: Mean shift of the pooled-branch pivot per unit of gamma.
-_POOLED_SHIFT = 3.0 / math.sqrt(2.0)
+#: Mean shift of the pooled-branch pivot per unit of gamma (its bias is -psi).
+_POOLED_SHIFT = math.sqrt(_VAR_CARRYOVER / _VAR_POOLED)
 
 #: Absolute tolerance demanded of the quadrature route.
 QUAD_ABS_TOL = 1e-10
@@ -277,7 +276,7 @@ def coverage_curve(alpha1: float, alpha: float, gamma_min: float,
     gamma_max = _checked_real("gamma_max", gamma_max)
     if not gamma_min < gamma_max:
         raise DomainError("need gamma_min < gamma_max")
-    steps = _checked_int("steps", steps, 2)
+    steps = _checked_int("steps", steps, 2, 2**60, "numpy arrays stop short of 2**63 bytes")
     # A span that overflows makes linspace return NaN and inf points.
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.linspace(gamma_min, gamma_max, steps)
@@ -352,12 +351,11 @@ def efficiency_comparison(sigma_s2: float, sigma_e2: float,
     Both variances must be normal floats: an infinite, zero or subnormal one
     would make their ratio inf, nan or inexact, so it raises instead.
     """
-    # From 2**1022 on, 4.0 * n overflows (or n does not convert), so
-    # var_robust could only be 0.
+    # From 2**1022 on, 2.0 * n can overflow, or n does not convert.
     n = _checked_int("n", n, 1, 2**1022)
     sigma_e2 = _checked_real("sigma_e2", sigma_e2, sign="positive")
     sigma_s2 = _checked_real("sigma_s2", sigma_s2, sign="nonnegative")
-    var_robust = 11.0 * sigma_e2 / (4.0 * n)
+    var_robust = 2.0 * _VAR_ROBUST * sigma_e2 / n  # arms of n give m = 2/n
     var_randomized = (sigma_e2 + sigma_s2) / (2.0 * n)
     for name, var in (("var_robust", var_robust), ("var_randomized", var_randomized)):
         if not sys.float_info.min <= var < math.inf:

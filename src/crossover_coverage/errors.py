@@ -40,15 +40,15 @@ class RouteDisagreementError(NumericalError):
     """Two independent evaluation routes disagree beyond tolerance."""
 
 
-def _checked_int(name: str, value, minimum: int, below: int | None = None) -> int:
-    """``value`` as an int, which must be at least ``minimum`` (and under ``below``)."""
+def _checked_int(name: str, value, minimum: int, below: int | None = None, why="") -> int:
+    """``value`` as an int, at least ``minimum`` (and under ``below``, for the reason ``why``)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {value}")
     if below is not None and value >= below:
-        raise DomainError(f"{name} must be below {below}, got {value}")
+        raise DomainError(f"{name} must be below {below}{why and f' ({why})'}, got {value}")
     return value
 
 

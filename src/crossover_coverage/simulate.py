@@ -50,12 +50,14 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .coverage import PIVOT_PRETEST_CORR
 from .errors import DomainError, NumericalError, _checked_int
 # Nothing here calls std_normal_quantile; the binding stays because the
 # benchmark's tracer (perfbench/spans.py) wraps simulate.std_normal_quantile.
 from .normal import std_normal_inverse_cdf, std_normal_quantile
 from .trial import (
+    _GRAM,
+    _VAR_POOLED,
+    PIVOT_PRETEST_CORR,
     ModelParams,
     SubjectResponses,
     TrialDesign,
@@ -160,29 +162,24 @@ class EstimatorMoments:
     cov_robust_carryover: float
     corr_robust_carryover: float
 
+    @classmethod
+    def _from_cov(cls, means, cov, corr: float) -> "EstimatorMoments":
+        return cls(*map(float, means), float(cov[0, 0]), float(cov[1, 1]), float(cov[2, 2]),
+                   float(cov[0, 2]), float(cov[1, 2]), corr)
+
 
 def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMoments:
     """Exact means, variances and covariances of the three estimators.
 
     The counterpart of what ``estimator_moments`` samples, in the same
-    type. None of them involve the between-subject variance: the estimator
-    coefficient vectors annihilate the common subject-average offset.
+    type: the estimands theta - psi, theta and psi, and m sigma_e^2 B B^T.
+    None involve the between-subject variance: each row of B sums to 0.
     """
-    m = design.m
     theta = params.treatment_difference
     psi = params.differential_carryover
-    noise = m * params.error_var
-    moments = EstimatorMoments(
-        mean_pooled=theta - psi,
-        mean_robust=theta,
-        mean_carryover=psi,
-        var_pooled=noise / 4.0,
-        var_robust=11.0 * noise / 8.0,
-        var_carryover=9.0 * noise / 8.0,
-        cov_pooled_carryover=0.0,
-        cov_robust_carryover=9.0 * noise / 8.0,
-        corr_robust_carryover=PIVOT_PRETEST_CORR,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        cov = design.m * params.error_var * _GRAM
+    moments = EstimatorMoments._from_cov((theta - psi, theta, psi), cov, PIVOT_PRETEST_CORR)
     if not all(map(math.isfinite, astuple(moments))):
         raise NumericalError(f"the exact moments overflow: {moments}")
     return moments
@@ -286,6 +283,19 @@ def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> Iterator[tuple[i
     return ((start, min(size, total - start)) for start in range(0, total, size))
 
 
+def _unit_draws(config: SimConfig, start: int, count: int) -> np.ndarray:
+    """z of replications [start, start + count), a row of four each from Philox block r."""
+    z = std_normal_inverse_cdf(_open_uniforms(_philox_words(config.seed, start, 4 * count)))
+    return z.reshape(count, 4)
+
+
+def _estimates(d: np.ndarray):
+    """Estimator triple of period differences d, of shape (4,) or (count, 4)."""
+    d1, d2, d3, d4 = d.T
+    return (pooled_effect_estimate(d1, d2, d3, d4), robust_effect_estimate(d1, d2, d3, d4),
+            carryover_effect_estimate(d1, d2, d3, d4))
+
+
 def _batch_estimates(config: SimConfig, start: int, count: int):
     """Estimator triple for replications [start, start + count), vectorized.
 
@@ -294,12 +304,9 @@ def _batch_estimates(config: SimConfig, start: int, count: int):
     this has the subject-level model's law). Element for element the same
     as ``_batch_estimates(config, r, 1)`` for each r in turn.
     """
-    z = std_normal_inverse_cdf(_open_uniforms(_philox_words(config.seed, start, 4 * count)))
     noise = math.sqrt(config.design.m) * config.two_stage.sigma_e
-    d1, d2, d3, d4 = (_fixed_differences(config.params) + noise * z.reshape(count, 4)).T
-    return (pooled_effect_estimate(d1, d2, d3, d4),
-            robust_effect_estimate(d1, d2, d3, d4),
-            carryover_effect_estimate(d1, d2, d3, d4))
+    return _estimates(_fixed_differences(config.params)
+                      + noise * _unit_draws(config, start, count))
 
 
 def _check_precision(config: SimConfig) -> None:
@@ -314,7 +321,7 @@ def _check_precision(config: SimConfig) -> None:
     sigma_e = config.two_stage.sigma_e
     bound = (float(np.max(np.abs(_fixed_differences(config.params))))
              + 8.21 * math.sqrt(config.design.m) * sigma_e)
-    s = sigma_e * math.sqrt(config.design.m / 4.0)
+    s = sigma_e * math.sqrt(_VAR_POOLED * config.design.m)
     if not bound <= 2.0**33 * s:  # an overflowed, infinite bound fails too
         raise NumericalError(f"period differences up to M = {bound!r} round away noise of "
                              f"scale s = {s!r} (M > 2**33 s) in replications "
@@ -345,37 +352,30 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
 def estimator_moments(config: SimConfig) -> EstimatorMoments:
     """Sample moments of the three estimators over a simulation run.
 
-    Variances and covariances use the n - 1 divisor (n when the run has a
-    single replication). Each automatic chunk's means and co-moments are
-    merged into running totals in replication order (Chan's update), so
-    memory stays flat. ``theoretical_moments`` gives their exact counterparts.
+    Each automatic chunk's mean of the unit-noise draws z, and co-moments of
+    the estimators of z, merge into running totals in replication order
+    (Chan's update): memory stays flat, and nothing overflows or underflows.
+    The correlation is taken there. The estimators being linear, the means are
+    the estimators of fd + sqrt(m) sigma_e mean(z), and the covariances (n - 1
+    divisor, n for one replication) the unit ones times (sqrt(m) sigma_e)^2.
     """
     _check_precision(config)
     n = 0
-    mean = np.zeros(3)  # pooled, robust, carryover
-    comoment = np.zeros((3, 3))  # sums of products of deviations from mean
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for start, count in _chunk_bounds(config, None):
-            x = np.stack(_batch_estimates(config, start, count))
-            delta = x.mean(axis=1) - mean
-            n += count
-            mean += delta * (count / n)
-            comoment += count * (np.cov(x, ddof=0) + np.outer(delta, delta) * ((n - count) / n))
-    if not np.isfinite(comoment).all():
-        raise NumericalError(f"the estimators' co-moments overflow in replications [0, {n})")
+    mean = np.zeros(4)  # of z
+    comoment = np.zeros((3, 3))  # sums of products of the estimators' deviations
+    for start, count in _chunk_bounds(config, None):
+        z = _unit_draws(config, start, count)
+        delta = z.mean(axis=0) - mean
+        n += count
+        mean += delta * (count / n)
+        x, shift = np.array(_estimates(z)), np.array(_estimates(delta))
+        comoment += count * (np.cov(x, ddof=0) + np.outer(shift, shift) * ((n - count) / n))
     cov = comoment / (n - 1 if n > 1 else n)
-    var_r, var_c, cov_rc = float(cov[1, 1]), float(cov[2, 2]), float(cov[1, 2])
-    # Two roots: the product of the variances can overflow or underflow.
-    corr = (cov_rc / (math.sqrt(var_r) * math.sqrt(var_c))
-            if var_r > 0.0 and var_c > 0.0 else math.nan)
-    return EstimatorMoments(
-        mean_pooled=float(mean[0]),
-        mean_robust=float(mean[1]),
-        mean_carryover=float(mean[2]),
-        var_pooled=float(cov[0, 0]),
-        var_robust=var_r,
-        var_carryover=var_c,
-        cov_pooled_carryover=float(cov[0, 2]),
-        cov_robust_carryover=cov_rc,
-        corr_robust_carryover=corr,
-    )
+    corr = float(cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])) if n > 1 else math.nan
+    noise = math.sqrt(config.design.m) * config.two_stage.sigma_e
+    with np.errstate(over="ignore"):  # refused below
+        cov = cov * noise * noise
+    if not np.isfinite(cov).all():
+        raise NumericalError(f"the estimators' co-moments overflow in replications [0, {n})")
+    means = _estimates(_fixed_differences(config.params) + noise * mean)
+    return EstimatorMoments._from_cov(means, cov, corr)

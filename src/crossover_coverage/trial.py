@@ -9,7 +9,9 @@ estimator coefficients below are specific to it.
 The analysis pipeline is: reduce the subject responses to the four
 between-group period differences, form the three linear estimators, then
 run the two-stage procedure (pretest for differential carryover, pick the
-confidence interval accordingly).
+confidence interval accordingly). The estimators are the rows of one contrast
+matrix B, so their covariance is m sigma_e^2 B B^T; the package takes every
+variance and correlation from it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, _checked_int, _checked_items, _checked_real
 from .normal import _as_float_array, std_normal_quantile
+
+#: B: the pooled, robust and carryover estimators' coefficients on (d1, d2, d3, d4).
+_CONTRASTS = np.array([[0.25, -0.25, 0.25, -0.25],
+                       [1.0, -0.25, -0.5, -0.25],
+                       [0.75, 0.0, -0.75, 0.0]])
+#: B B^T, exact since every entry is dyadic, and its diagonal: 1/4, 11/8 and 9/8.
+_GRAM = _CONTRASTS @ _CONTRASTS.T
+_VAR_POOLED, _VAR_ROBUST, _VAR_CARRYOVER = np.diag(_GRAM).tolist()
+#: Robust-carryover correlation 3/sqrt(11), also the robust pivot's with the pretest.
+PIVOT_PRETEST_CORR = float(_GRAM[1, 2]) / math.sqrt(_VAR_ROBUST * _VAR_CARRYOVER)
 
 
 @dataclass(frozen=True)
@@ -214,7 +226,7 @@ def estimate_effects(reduced: PeriodDifferences) -> EffectEstimates:
 
 def carryover_scale(m: float) -> float:
     """sqrt(8 / (9 m)): standardizes the carryover estimator to unit variance."""
-    return math.sqrt(8.0 / (9.0 * m))
+    return math.sqrt(1.0 / (_VAR_CARRYOVER * m))
 
 
 def scaled_carryover(psi: float, design: TrialDesign, sigma_e: float) -> float:
@@ -237,8 +249,8 @@ def _two_stage_rule(design: TrialDesign, config: TwoStageConfig):
     scale = carryover_scale(design.m)
     crit1 = std_normal_quantile(config.alpha1)
     c = std_normal_quantile(config.alpha)
-    hw_pooled = c * math.sqrt(design.m / 4.0) * config.sigma_e
-    hw_robust = c * math.sqrt(11.0 * design.m / 8.0) * config.sigma_e
+    hw_pooled = c * math.sqrt(_VAR_POOLED * design.m) * config.sigma_e
+    hw_robust = c * math.sqrt(_VAR_ROBUST * design.m) * config.sigma_e
 
     def rule(pooled, robust, carryover):
         stat = scale * carryover / config.sigma_e

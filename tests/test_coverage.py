@@ -214,6 +214,13 @@ class TestCoverageCurve:
         with pytest.raises(DomainError):
             coverage_curve(0.1, 0.05, 0.0, 1.0, 2.5)
 
+    @pytest.mark.parametrize("steps", [2**63 - 1, 2**64 - 1, 2**64 + 1])
+    def test_impossible_step_counts_refused(self, steps):
+        # Refused before any array is built; numpy would raise an IndexError
+        # or a ValueError of its own.
+        with pytest.raises(DomainError, match=rf"steps must be below {2**60} \(numpy arrays"):
+            coverage_curve(0.1, 0.05, 0.0, 1.0, steps)
+
     def test_span_that_overflows_is_rejected(self):
         # linspace would return [nan, inf, 1e308] here.
         with pytest.raises(DomainError, match=r"gamma range \[-1e\+308, 1e\+308\]"):

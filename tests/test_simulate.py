@@ -507,6 +507,28 @@ class TestEstimatorMoments:
 
         assert abs(corr(error_var) - corr(1.0)) <= 1e-12
 
+    def test_correlation_where_the_estimates_square_to_zero(self):
+        # The estimates are about 1e-171 here; their squares underflow, but
+        # the co-moments are taken in unit-noise coordinates.
+        config = SimConfig(TrialDesign(2**64 - 1, 2**64 - 1), ModelParams(0, 0, 1, 5e-324),
+                           0.1, 0.05, 20, 1)
+        corr = estimator_moments(config).corr_robust_carryover
+        assert -1.0 <= corr <= 1.0
+
+    def test_error_scale_by_powers_of_four(self):
+        # Scaling error_var by 4**k scales sigma_e by 2**k exactly, so every
+        # variance and covariance scales by exactly 4**k, and the
+        # correlation, taken before the scaling, does not move.
+        names = ("var_pooled", "var_robust", "var_carryover", "cov_pooled_carryover",
+                 "cov_robust_carryover")
+        base = estimator_moments(make_config(n1=5, n2=7, replications=1000, seed=9))
+        for k in range(-20, 21):
+            moments = estimator_moments(make_config(n1=5, n2=7, sigma_e2=4.0**k,
+                                                    replications=1000, seed=9))
+            assert moments.corr_robust_carryover == base.corr_robust_carryover, k
+            for name in names:
+                assert getattr(moments, name) == 4.0**k * getattr(base, name), (k, name)
+
     def test_overflowing_comoments_raise(self):
         # At n = (1, 1) and error variance 1e308 the robust variance is
         # 2.75e308; the fold must refuse it, not warn and return inf.

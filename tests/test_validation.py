@@ -194,11 +194,6 @@ def test_sign_rules(fn, sign, smallest):
 EDGES = [0, -0.0, 5e-324, 2.0**-1022, 1e-300, 1e154, 1e300, 1e308, -1e308,
          2**64 - 1, 2**64 + 1]
 
-# Arguments that draw from a pool of their own, and why: a curve of 2**64
-# points is work beyond any machine, and numpy refuses to lay it out with a
-# ValueError of its own before coverage_curve can refuse it.
-POOLS = {"steps": [0, 2, 3]}
-
 # The exempt public callables, each reached from scalars.
 COMPOSED = [
     ("estimate_effects",
@@ -227,6 +222,13 @@ COMPOSED = [
 ]
 
 
+# Edge rows the generator cannot reach, because each sets three edge arguments
+# at once; every row runs before the generated ones. The estimator_moments
+# row scales the estimates to about 1e-171, where their squares underflow.
+FIXED = {"estimator_moments": [dict(n1=2**64 - 1, n2=2**64 - 1, theta=0.0, psi=0.0,
+                                    error_var=5e-324, seed=1)]}
+
+
 def _all_finite(result) -> bool:
     """Whether every number in result, through dataclasses, tuples and arrays, is finite."""
     if dataclasses.is_dataclass(result):
@@ -240,23 +242,28 @@ def _all_finite(result) -> bool:
     return math.isfinite(result)
 
 
-@pytest.mark.parametrize("fn,kwargs", [pytest.param(fn, kwargs, id=name)
-                                       for name, fn, kwargs in ENTRY_POINTS + COMPOSED])
-def test_generated_arguments_give_finite_results_or_refusals(fn, kwargs):
+def _finite_or_refused(fn, drawn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = fn(**drawn)
+        except (DomainError, NumericalError):
+            return
+    assert _all_finite(result), (drawn, result)
+
+
+@pytest.mark.parametrize("name,fn,kwargs", [pytest.param(name, fn, kwargs, id=name)
+                                            for name, fn, kwargs in ENTRY_POINTS + COMPOSED])
+def test_generated_arguments_give_finite_results_or_refusals(name, fn, kwargs):
+    for row in FIXED.get(name, ()):
+        _finite_or_refused(fn, {**kwargs, **row})
     # One or two arguments take edge values; the rest keep their valid ones.
-    edges = [(arg, v) for arg in kwargs for v in POOLS.get(arg, EDGES)]
+    edges = [(arg, v) for arg in kwargs for v in EDGES]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(chosen=st.lists(st.sampled_from(edges), min_size=1, max_size=2))
     def run(chosen):
-        drawn = {**kwargs, **dict(chosen)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                result = fn(**drawn)
-            except (DomainError, NumericalError):
-                return
-        assert _all_finite(result), (drawn, result)
+        _finite_or_refused(fn, {**kwargs, **dict(chosen)})
 
     run()
 

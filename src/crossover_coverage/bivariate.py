@@ -6,11 +6,11 @@ one-dimensional integral T(h, a):
     P(X <= h, Y <= k) = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - delta
 
 with a_h = (k - rho*h) / (h * sqrt(1 - rho**2)) (a_k symmetric) and
-delta = 1/2 when the quadrant correction applies. T itself comes from
-scipy.special.owens_t, accurate to near machine precision, so rectangle
-probabilities built here are trustworthy to ~1e-14 and serve as the
-independent cross-check for the quadrature route in the coverage module.
-Its coverage grids use an array form that holds h fixed and varies k.
+delta = 1/2 when the quadrant correction applies. T is scipy's owens_t, near
+machine precision, so rectangles built here are trustworthy to ~1e-14 and
+serve as the independent cross-check for the coverage module's quadrature
+route. A scalar T calls its C function through ``cython_special``, skipping
+the ufunc; the coverage grids' array form holds h fixed and varies k.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import owens_t
+from scipy.special import cython_special, owens_t
 
 from .errors import DomainError, _checked_real
 from .normal import _cdf, _cdf_array
@@ -61,11 +61,11 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
     if h == 0.0:
         t_h = 0.25 if k > 0.0 else -0.25
     else:
-        t_h = float(owens_t(h, (k - rho * h) / (h * denom)))
+        t_h = cython_special.owens_t(h, (k - rho * h) / (h * denom))
     if k == 0.0:
         t_k = 0.25 if h > 0.0 else -0.25
     else:
-        t_k = float(owens_t(k, (h - rho * k) / (k * denom)))
+        t_k = cython_special.owens_t(k, (h - rho * k) / (k * denom))
     # The quadrant correction applies when exactly one bound is negative. It
     # reads the signs, not h * k, which can underflow to 0.
     delta = 0.5 if (h < 0.0) != (k < 0.0) else 0.0

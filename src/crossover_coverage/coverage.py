@@ -21,10 +21,11 @@ Disagreement beyond tolerance raises instead of returning a bad number.
 
 One body, ``_routes``, holds both routes, both gates and the coverage, at
 a float gamma or a gamma array; only its primitives differ. A single query
-(or Brent step) uses math-module Phi, ``bvn_rectangle`` and ``quad``. A
-gamma grid (a curve, or the search's scan) uses numpy Phi, Owen's T strips
-vectorized over gamma and one ``quad_vec`` per block of ``_GRID_BLOCK``
-points; one point costs more through ``quad_vec`` than through ``quad``.
+(or Brent step) uses the math-module kernel Phi(b) - Phi(a), ``quad`` and
+``bvn_rectangle``, whose Owen's T skips the ufunc. A gamma grid (a curve,
+or the search's scan) uses the numpy kernel, Owen's T strips vectorized over
+gamma and one ``quad_vec`` per block of ``_GRID_BLOCK`` points; one point
+costs more through ``quad_vec`` than through ``quad``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     _checked_items,
     _checked_real,
 )
-from .normal import _cdf, _cdf_array, _pdf, std_normal_quantile
+from .normal import INV_SQRT_2PI, _between, _between_array, std_normal_quantile
 from .trial import _VAR_CARRYOVER, _VAR_POOLED, _VAR_ROBUST, PIVOT_PRETEST_CORR
 
 #: Given the robust pivot g, the pretest statistic has mean
@@ -142,34 +143,35 @@ def _clip_prob(value: float) -> float:
 
 
 # P(pretest accepts) and P(pooled interval covers), unclipped. Both take a
-# float gamma, or an array of gammas with cdf=_cdf_array.
-def _accept_prob(gamma, c1: float, cdf=_cdf):
-    return cdf(c1 - gamma) - cdf(-c1 - gamma)
+# float gamma, or an array of gammas with between=_between_array.
+def _accept_prob(gamma, c1: float, between=_between):
+    return between(-c1 - gamma, c1 - gamma)
 
 
-def _pooled_inside_prob(gamma, c: float, cdf=_cdf):
+def _pooled_inside_prob(gamma, c: float, between=_between):
     shift = _POOLED_SHIFT * gamma
-    return cdf(c + shift) - cdf(-c + shift)
+    return between(-c + shift, c + shift)
 
 
-def _routes(gamma, alpha: float, c1: float, c: float, cdf, band, integrate):
+def _routes(gamma, alpha: float, c1: float, c: float, between, band, integrate):
     """(bivariate route, quadrature route, abserr, coverage), all unclipped.
 
     The routes give P(robust pivot inside, pretest rejects) at a float gamma
-    or an array, with primitives to match: Phi ``cdf``, ``band(c, k)`` =
-    P(-c <= pivot <= c, pretest <= k) and ``integrate(f, lo, hi)`` ->
-    (integral, abserr). Raises if either gate fails, a NaN gap included.
+    or an array, with primitives to match: ``between(a, b)`` = Phi(b) - Phi(a),
+    ``band(c, k)`` = P(-c <= pivot <= c, pretest <= k) and
+    ``integrate(f, lo, hi)`` -> (integral, abserr). Raises if either gate
+    fails, a NaN gap included.
     """
     # Route (a): the two strips of the joint normal law outside the accept band.
-    via_bvn = (cdf(c) - cdf(-c)) - band(c, c1 - gamma) + band(c, -c1 - gamma)
+    via_bvn = between(-c, c) - band(c, c1 - gamma) + band(c, -c1 - gamma)
 
     # Route (b): complement of the accept-side integral, conditioning the
     # pretest statistic on the pivot: mean gamma + 3 g / sqrt(11),
     # variance 2/11.
-    def integrand(g: float):
+    def integrand(g: float):  # dozens of calls a query: the density is written in place
         mu = gamma + PIVOT_PRETEST_CORR * g
-        inside = cdf((c1 - mu) * _INV_COND_SD) - cdf((-c1 - mu) * _INV_COND_SD)
-        return inside * _pdf(g)
+        inside = between((-c1 - mu) * _INV_COND_SD, (c1 - mu) * _INV_COND_SD)
+        return inside * (math.exp(-0.5 * g * g) * INV_SQRT_2PI)
 
     integral, abserr = integrate(integrand, -c, c)
     via_quad = (1.0 - alpha) - integral
@@ -180,15 +182,16 @@ def _routes(gamma, alpha: float, c1: float, c: float, cdf, band, integrate):
             f"quadrature achieved abs error {abserr:.3e} > {QUAD_ABS_TOL:.1e} {where}",
             estimate=via_quad, err_bound=abserr)
 
-    gap = np.abs(via_bvn - via_quad)
-    if not (gap <= ROUTE_AGREEMENT_TOL).all():
+    gap = abs(via_bvn - via_quad)
+    agree = gap <= ROUTE_AGREEMENT_TOL  # a bool at a float gamma: numpy is slow on scalars
+    if not (agree if isinstance(agree, bool) else agree.all()):
         worst = np.argmax(gap)  # the first NaN, if there is one
         gap, at, estimate = (float(np.ravel(x)[worst]) for x in (gap, gamma, via_quad))
         raise RouteDisagreementError(
             f"bivariate and quadrature routes differ by {gap:.3e} "
             f"at gamma={at}, alpha1 quantile={c1}, alpha={alpha}",
             estimate=estimate, err_bound=gap)
-    coverage = (_accept_prob(gamma, c1, cdf) * _pooled_inside_prob(gamma, c, cdf)
+    coverage = (_accept_prob(gamma, c1, between) * _pooled_inside_prob(gamma, c, between)
                 + via_quad)
     return via_bvn, via_quad, abserr, coverage
 
@@ -227,14 +230,14 @@ def reject_cover_routes(gamma: float, alpha1: float,
     c1 = std_normal_quantile(query.alpha1)
     c = std_normal_quantile(query.alpha)
     via_bvn, via_quad, abserr, _ = _routes(query.gamma, query.alpha, c1, c,
-                                           _cdf, _band, _quad)
+                                           _between, _band, _quad)
     return _clip_prob(via_bvn), _clip_prob(via_quad), abserr
 
 
 def _coverage_value(gamma: float, alpha: float, c1: float,
                     c: float) -> tuple[float, float]:
     via_bvn, via_quad, abserr, coverage = _routes(gamma, alpha, c1, c,
-                                                  _cdf, _band, _quad)
+                                                  _between, _band, _quad)
     return _clip_prob(coverage), abserr + abs(via_bvn - via_quad) + _ROUNDING_ERR
 
 
@@ -245,7 +248,7 @@ def _coverage_grid(gammas: np.ndarray, alpha: float, c1: float,
     # the scalar path; the probabilities built from them are still exact.
     with np.errstate(over="ignore"):
         values = [_routes(gammas[i:i + _GRID_BLOCK], alpha, c1, c,
-                          _cdf_array, _band_array, _quad_vec)[3]
+                          _between_array, _band_array, _quad_vec)[3]
                   for i in range(0, len(gammas), _GRID_BLOCK)]
     return np.clip(np.concatenate(values), 0.0, 1.0)
 

@@ -1,18 +1,19 @@
-"""Standard-normal primitives: quantiles, and the engine's density and cdf.
+"""Standard-normal primitives: quantiles, and the engine's cdf kernels.
 
 The inverse cdf takes a float or a numpy array and returns the same kind,
 the two-sided quantile a real number only. NaN is rejected with
 ``DomainError`` rather than propagated, because a silent NaN would corrupt
-the coverage integrals downstream. The private ``_pdf``, ``_cdf`` and
-``_cdf_array`` are the unchecked kernels the coverage engine integrates;
-Phi(x) there is ``0.5 * erfc(-x / sqrt(2))``, accurate to a few ulp everywhere.
+the coverage integrals downstream. The engine's unchecked kernels are the
+private ``_cdf``, ``_between(a, b)`` = Phi(b) - Phi(a) and their ``_array``
+forms; Phi(x) there is ``0.5 * erfc(-x / sqrt(2))``, a few ulp everywhere.
 
 The quantile is ``scipy.special.ndtri``, which is odd by itself: it reduces
 p > 1 - exp(-2) to 1 - p, and its central rational is odd in p - 1/2. So
 ``Phi^-1(1 - p) == -Phi^-1(p)`` holds exactly whenever ``1 - p`` is exact;
 ``tests/test_normal.py`` pins that against the explicit reflection on the
 simulator's uniform lattice. Its relative error is at the ulp level from
-the simulator's smallest uniform (2**-53) down to 1e-300.
+the simulator's smallest uniform (2**-53) down to 1e-300. The two-sided
+quantile calls the same C function through ``cython_special``, on a float.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .errors import DomainError, _checked_real
 
@@ -80,11 +82,11 @@ def std_normal_quantile(a):
     # a/2 is an exact halving, so no precision is lost entering the tail.
     if a / 2.0 == 0.0:
         raise DomainError(f"a must be at least 1e-323, or its half underflows; got {a!r}")
-    return -float(special.ndtri(a / 2.0))
+    return -cython_special.ndtri(a / 2.0)
 
 
 def _cdf(x):
-    # Scalar fast path for quadrature loops; same erfc formula, unvalidated.
+    # Scalar form for the bivariate cdf; same erfc formula, unvalidated.
     return 0.5 * math.erfc(-x * INV_SQRT_2)
 
 
@@ -93,5 +95,10 @@ def _cdf_array(x):
     return 0.5 * special.erfc(-x * INV_SQRT_2)
 
 
-def _pdf(x):
-    return math.exp(-0.5 * x * x) * INV_SQRT_2PI
+def _between(a, b):
+    # Phi(b) - Phi(a), _cdf(b) - _cdf(a) operation for operation in one call.
+    return 0.5 * math.erfc(-b * INV_SQRT_2) - 0.5 * math.erfc(-a * INV_SQRT_2)
+
+
+def _between_array(a, b):
+    return 0.5 * special.erfc(-b * INV_SQRT_2) - 0.5 * special.erfc(-a * INV_SQRT_2)

@@ -1,8 +1,8 @@
 """Tests for the standard-normal kernels.
 
-``_pdf``, ``_cdf`` and ``_cdf_array`` are the unchecked kernels the
-coverage engine integrates; scipy's ``ndtr`` serves as an independent cdf
-where the quantiles are checked.
+``_cdf``, ``_between`` and their array forms are the unchecked kernels of
+the coverage engine; scipy's ``ndtr`` serves as an independent cdf where
+the quantiles are checked.
 """
 
 import math
@@ -17,7 +17,7 @@ from crossover_coverage import (
     std_normal_inverse_cdf,
     std_normal_quantile,
 )
-from crossover_coverage.normal import _cdf, _cdf_array, _pdf
+from crossover_coverage.normal import _between, _between_array, _cdf, _cdf_array
 
 
 def bisect(f, lo, hi, tol=1e-14):
@@ -35,36 +35,6 @@ def bisect(f, lo, hi, tol=1e-14):
 def _both_cdfs(x):
     """The scalar and the array kernel at every entry of x."""
     return np.array([_cdf(float(v)) for v in x]), _cdf_array(x)
-
-
-class TestPdf:
-    def test_at_zero(self):
-        # 1/sqrt(2*pi) evaluated at 30 digits: 0.3989422804014326779...
-        assert abs(_pdf(0.0) - 0.3989422804014327) < 1e-15
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(101)
-        for x in rng.uniform(-10, 10, size=10_000):
-            assert _pdf(float(x)) == _pdf(float(-x))
-
-    def test_far_tail_underflows_quietly(self):
-        value = _pdf(40.0)
-        assert 0.0 <= value < 1e-300
-
-    def test_strictly_positive_in_range(self):
-        assert all(_pdf(float(x)) > 0.0 for x in np.linspace(-37, 37, 1001))
-
-    def test_relative_error_against_high_precision(self):
-        # x*x carries a relative rounding of eps, which exp turns into a
-        # relative error of about eps * x**2 / 2. Past |x| = 37 the density
-        # is subnormal and loses digits.
-        eps = np.finfo(float).eps
-        with mp.workdps(30):
-            for x in np.linspace(-37.0, 37.0, 741):
-                x = float(x)
-                exact = mp.npdf(mp.mpf(x))
-                rel = float(abs(mp.mpf(_pdf(x)) - exact) / exact)
-                assert rel <= 2.0 * eps * (1.0 + 0.5 * x * x), x
 
 
 class TestCdf:
@@ -102,6 +72,20 @@ class TestCdf:
                               for x in xs])
         for values in _both_cdfs(xs):
             assert np.max(np.abs(values - exact)) <= 1e-12
+
+
+class TestBetween:
+    def test_is_the_difference_of_cdfs_bit_for_bit(self):
+        # The coverage engine's interval kernel must round exactly as
+        # _cdf(b) - _cdf(a) did, so that every coverage keeps its bits.
+        rng = np.random.default_rng(104)
+        a = np.concatenate([rng.uniform(-12, 12, 5_000), rng.normal(0, 1e-8, 500),
+                            [0.0, -0.0, -math.inf, math.inf, -40.0, 40.0]])
+        b = np.concatenate([rng.uniform(-12, 12, 5_000), rng.normal(0, 1e-8, 500),
+                            [0.0, 0.0, math.inf, math.inf, 40.0, -40.0]])
+        scalar = [_between(float(x), float(y)).hex() for x, y in zip(a, b)]
+        assert scalar == [(_cdf(float(y)) - _cdf(float(x))).hex() for x, y in zip(a, b)]
+        assert _between_array(a, b).tobytes() == (_cdf_array(b) - _cdf_array(a)).tobytes()
 
 
 class TestInverseCdf:

@@ -3,7 +3,6 @@
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -32,7 +31,6 @@ from crossover_coverage.coverage import (
     _accept_prob,
     _pooled_inside_prob,
 )
-from crossover_coverage.normal import _between
 
 # Reference values from 30-digit arithmetic (quantile by root-finding,
 # joint term by high-order quadrature of the conditional form).
@@ -123,35 +121,6 @@ class TestRejectCoverProb:
             a = reject_cover_routes(float(gamma), 0.1, 0.05)[1]
             b = reject_cover_routes(float(-gamma), 0.1, 0.05)[1]
             assert abs(a - b) <= 1e-10
-
-    def test_quadrature_density(self):
-        # Route (b)'s integrand writes the standard-normal density in place.
-        # With c1 = 60 its Phi-interval factor is exactly 1 for |g| <= 37, so
-        # the integrand is the density itself. x*x carries a relative rounding
-        # of eps, which exp turns into about eps * x**2 / 2; past |x| = 37 the
-        # density is subnormal and loses digits.
-        class Captured(Exception):
-            pass
-
-        def capture(integrand, lo, hi):
-            captured.append(integrand)
-            raise Captured
-
-        captured = []
-        with pytest.raises(Captured):
-            coverage_module._routes(0.0, 0.05, 60.0, 2.0, _between,
-                                    lambda c, k: 0.0, capture)
-        density = captured[0]
-        assert abs(density(0.0) - 0.3989422804014327) < 1e-15
-        assert 0.0 <= density(40.0) < 1e-300
-        eps = np.finfo(float).eps
-        with mp.workdps(30):
-            for x in np.linspace(-37.0, 37.0, 741):
-                x = float(x)
-                assert density(x) == density(-x) > 0.0
-                exact = mp.npdf(mp.mpf(x))
-                rel = float(abs(mp.mpf(density(x)) - exact) / exact)
-                assert rel <= 2.0 * eps * (1.0 + 0.5 * x * x), x
 
     def test_route_agreement_on_random_triples(self):
         rng = np.random.default_rng(34)

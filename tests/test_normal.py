@@ -1,8 +1,8 @@
 """Tests for the standard-normal kernels.
 
 ``_cdf``, ``_between`` and their array forms are the unchecked kernels of
-the coverage engine; scipy's ``ndtr`` serves as an independent cdf where
-the quantiles are checked.
+the coverage engine, and route (b)'s integrand writes the density in place;
+scipy's ``ndtr`` serves as an independent cdf where the quantiles are checked.
 """
 
 import math
@@ -17,6 +17,7 @@ from crossover_coverage import (
     std_normal_inverse_cdf,
     std_normal_quantile,
 )
+from crossover_coverage import coverage as coverage_module
 from crossover_coverage.normal import _between, _between_array, _cdf, _cdf_array
 
 
@@ -35,6 +36,59 @@ def bisect(f, lo, hi, tol=1e-14):
 def _both_cdfs(x):
     """The scalar and the array kernel at every entry of x."""
     return np.array([_cdf(float(v)) for v in x]), _cdf_array(x)
+
+
+def _integrand_density():
+    """Route (b)'s integrand at gamma = 0 with c1 = 60.
+
+    Its Phi-interval factor is then exactly 1 for |g| <= 40, so the
+    integrand is the standard-normal density it writes in place.
+    """
+    class Captured(Exception):
+        pass
+
+    def capture(integrand, lo, hi):
+        captured.append(integrand)
+        raise Captured
+
+    captured = []
+    with pytest.raises(Captured):
+        coverage_module._routes(0.0, 0.05, 60.0, 2.0, _between,
+                                lambda c, k: 0.0, capture)
+    return captured[0]
+
+
+_pdf = _integrand_density()
+
+
+class TestPdf:
+    def test_at_zero(self):
+        # 1/sqrt(2*pi) evaluated at 30 digits: 0.3989422804014326779...
+        assert abs(_pdf(0.0) - 0.3989422804014327) < 1e-15
+
+    def test_symmetry(self):
+        rng = np.random.default_rng(101)
+        for x in rng.uniform(-10, 10, size=10_000):
+            assert _pdf(float(x)) == _pdf(float(-x))
+
+    def test_far_tail_underflows_quietly(self):
+        value = _pdf(40.0)
+        assert 0.0 <= value < 1e-300
+
+    def test_strictly_positive_in_range(self):
+        assert all(_pdf(float(x)) > 0.0 for x in np.linspace(-37, 37, 1001))
+
+    def test_relative_error_against_high_precision(self):
+        # x*x carries a relative rounding of eps, which exp turns into a
+        # relative error of about eps * x**2 / 2. Past |x| = 37 the density
+        # is subnormal and loses digits.
+        eps = np.finfo(float).eps
+        with mp.workdps(30):
+            for x in np.linspace(-37.0, 37.0, 741):
+                x = float(x)
+                exact = mp.npdf(mp.mpf(x))
+                rel = float(abs(mp.mpf(_pdf(x)) - exact) / exact)
+                assert rel <= 2.0 * eps * (1.0 + 0.5 * x * x), x
 
 
 class TestCdf:

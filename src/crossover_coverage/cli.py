@@ -3,13 +3,19 @@
 Subcommands reproduce the central numerical results (coverage curve,
 minimum-coverage table, efficiency comparison) and run the
 analytic-versus-simulation validation suite. All numerical work happens in
-the library modules; this layer only parses flags, formats output and maps
+the library modules; this layer parses flags, formats output and maps
 failures to exit statuses:
 
     0  success
     1  validation failure (a statistical or cross-route check failed)
     2  usage or domain error
     3  I/O error
+
+It also builds validate's and simulate's checks as ``Check`` records, which
+pass when |statistic| <= gate, and prints each as it completes. They stay
+in this module because the benchmark's tracer times validate's layers
+through this module's bindings of the engine calls: moved elsewhere, those
+calls would go untimed without any error.
 
 CSV outputs are UTF-8 with LF line endings, a header line first, and
 full-precision (round-trip exact) decimal floats. Every CSV is accompanied
@@ -21,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -57,6 +64,24 @@ _Z_GATE = 3.5  # |z| gate for analytic-vs-empirical checks (~0.05% false alarms)
 #: than the gates' nominal rate: at 2, 10 and 100 replications, about 20 %,
 #: 3 % and 0.35 % of 4,000 seeds against 0.06 %.
 _VALIDATE_MIN_REPS = 1000
+
+#: validate's route-agreement grid: gamma, alpha1 and alpha.
+_ROUTE_GRID = ([0.0, 0.5, 1.0, 2.0, 5.0], [0.05, 0.1, 0.2], [0.01, 0.05, 0.1])
+
+
+@dataclass(frozen=True)
+class Check:
+    """An observed value against its expected one; it passes when |statistic| <= gate."""
+
+    name: str
+    observed: float
+    expected: float
+    statistic: float  # the z score, or the route gap
+    gate: float
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.statistic) <= self.gate
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple], command: str,
@@ -128,31 +153,34 @@ def cmd_min_coverage(args) -> int:
     return 0
 
 
-def _simulation_check(config: SimConfig):
-    """gamma, analytic coverage, simulated tally, z, analytic accept rate and its z."""
+def _simulation_checks(config: SimConfig):
+    """gamma, the simulated tally, and its coverage and accept-rate checks."""
     gamma = scaled_carryover(config.params.differential_carryover, config.design,
                              config.two_stage.sigma_e)
     analytic = coverage_probability(CoverageQuery(gamma, config.alpha1, config.alpha)).value
     empirical = empirical_coverage(config)
     accept = _accept_prob(gamma, std_normal_quantile(config.alpha1))
-    return (gamma, analytic, empirical, empirical.z_against(analytic), accept,
-            _binomial_z(empirical.accept_rate, accept, empirical.total))
+    return (gamma, empirical,
+            Check("coverage", empirical.estimate, analytic,
+                  empirical.z_against(analytic), _Z_GATE),
+            Check("accept rate", empirical.accept_rate, accept,
+                  _binomial_z(empirical.accept_rate, accept, empirical.total), _Z_GATE))
 
 
 def cmd_simulate(args) -> int:
     design = TrialDesign(args.n1, args.n2)
     params = ModelParams(args.theta, args.psi, args.sigma_s2, args.sigma_e2)
     config = SimConfig(design, params, args.alpha1, args.alpha, args.reps, args.seed)
-    gamma, analytic, empirical, z, _, accept_z = _simulation_check(config)
+    gamma, empirical, coverage, accept = _simulation_checks(config)
     print(f"gamma: {gamma!r}")
-    print(f"analytic coverage: {analytic:.6f}")
+    print(f"analytic coverage: {coverage.expected:.6f}")
     print(f"empirical coverage: {empirical.estimate:.6f} "
           f"+/- {empirical.std_err:.6f} ({empirical.total} replications)")
     print(f"accept rate: {empirical.accept_rate:.6f}")
-    print(f"accept z score: {accept_z:.3f}")
-    print(f"z score: {z:.3f}")
-    ok = abs(z) <= _Z_GATE and abs(accept_z) <= _Z_GATE
-    print(f"result: {'PASS' if ok else 'FAIL'} (|z| <= {_Z_GATE})")
+    print(f"accept z score: {accept.statistic:.3f}")
+    print(f"z score: {coverage.statistic:.3f}")
+    ok = coverage.passed and accept.passed
+    print(f"result: {'PASS' if ok else 'FAIL'} (|z| <= {coverage.gate:g})")
     return 0 if ok else 1
 
 
@@ -169,40 +197,26 @@ def cmd_efficiency(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str, failures: list[str]) -> None:
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    if not ok:
-        failures.append(name)
-
-
-def cmd_validate(args) -> int:
-    if args.reps < _VALIDATE_MIN_REPS:
+def validation_checks(reps: int, seed: int):
+    """Yield validate's 20 checks (routes, five gamma, nine moments) as each completes."""
+    if reps < _VALIDATE_MIN_REPS:
         raise DomainError(
-            f"validate --reps must be at least {_VALIDATE_MIN_REPS}, got {args.reps}: "
+            f"validate --reps must be at least {_VALIDATE_MIN_REPS}, got {reps}: "
             "the moment gates use large-sample standard errors, which fail correct "
             "code far more often than their nominal rate on fewer replications")
-    reps = args.reps
     # Checked before any check runs; seed + i below wraps to a Philox key.
-    seed = _checked_int("validate --seed", args.seed, 0, 2**64)
-    failures: list[str] = []
+    seed = _checked_int("validate --seed", seed, 0, 2**64)
 
     # (a) cross-route agreement of the reject-branch joint term.
-    gammas = [0.0, 0.5, 1.0, 2.0, 5.0]
-    levels1 = [0.05, 0.1, 0.2]
-    levels = [0.01, 0.05, 0.1]
     max_gap = 0.0
-    for g in gammas:
-        for a1 in levels1:
-            for a in levels:
-                try:
-                    via_bvn, via_quad, _ = reject_cover_routes(g, a1, a)
-                    gap = abs(via_bvn - via_quad)
-                except RouteDisagreementError as exc:  # a failed check, not a crash
-                    gap = math.inf if math.isnan(exc.err_bound) else exc.err_bound
-                max_gap = max(max_gap, gap)
-    _check("route agreement", max_gap <= ROUTE_AGREEMENT_TOL,
-           f"max gap {max_gap:.3e} over {len(gammas) * len(levels1) * len(levels)} "
-           f"triples (tol {ROUTE_AGREEMENT_TOL:.0e})", failures)
+    for g, a1, a in itertools.product(*_ROUTE_GRID):
+        try:
+            via_bvn, via_quad, _ = reject_cover_routes(g, a1, a)
+            gap = abs(via_bvn - via_quad)
+        except RouteDisagreementError as exc:  # a failed check, not a crash
+            gap = math.inf if math.isnan(exc.err_bound) else exc.err_bound
+        max_gap = max(max_gap, gap)
+    yield Check("route agreement", max_gap, 0.0, max_gap, ROUTE_AGREEMENT_TOL)
 
     # (b) empirical coverage and accept rate against the analytic engine.
     design = TrialDesign(2, 2)
@@ -211,13 +225,8 @@ def cmd_validate(args) -> int:
         psi = target_gamma / scaled_carryover(1.0, design, 1.0)
         params = ModelParams(0.7, psi, between_subject_var=1.0, error_var=1.0)
         config = SimConfig(design, params, alpha1, alpha, reps, (seed + i) % 2**64)
-        _, analytic, emp, z, accept, accept_z = _simulation_check(config)
-        _check(f"coverage gamma={target_gamma}", abs(z) <= _Z_GATE,
-               f"analytic {analytic:.6f} empirical {emp.estimate:.6f} "
-               f"z {z:+.2f} (gate {_Z_GATE})", failures)
-        _check(f"accept rate gamma={target_gamma}", abs(accept_z) <= _Z_GATE,
-               f"analytic {accept:.6f} empirical {emp.accept_rate:.6f} "
-               f"z {accept_z:+.2f} (gate {_Z_GATE})", failures)
+        for check in _simulation_checks(config)[2:]:
+            yield replace(check, name=f"{check.name} gamma={target_gamma}")
 
     # (c) estimator moments against their closed forms.
     mom_design = TrialDesign(8, 8)
@@ -244,14 +253,26 @@ def cmd_validate(args) -> int:
         corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(reps),
     )
     for field in fields(EstimatorMoments):
-        name = field.name
-        got, want, se = (getattr(m, name) for m in (sample, exact, std_err))
-        z = (got - want) / se
-        _check(f"moments {name}", abs(z) <= 4.0,
-               f"observed {got:.6f} expected {want:.6f} z {z:+.2f} (gate 4)",
-               failures)
+        got, want, se = (getattr(m, field.name) for m in (sample, exact, std_err))
+        yield Check(f"moments {field.name}", got, want, (got - want) / se, 4.0)
 
-    print(f"failures: {len(failures)}")
+
+def cmd_validate(args) -> int:
+    failures = 0
+    # Printed as each check completes: the first line waits on no simulation.
+    for check in validation_checks(args.reps, args.seed):
+        if check.name == "route agreement":
+            detail = (f"max gap {check.statistic:.3e} over {math.prod(map(len, _ROUTE_GRID))}"
+                      f" triples (tol {check.gate:.0e})")
+        elif check.name.startswith("moments "):
+            detail = (f"observed {check.observed:.6f} expected {check.expected:.6f} "
+                      f"z {check.statistic:+.2f} (gate {check.gate:g})")
+        else:
+            detail = (f"analytic {check.expected:.6f} empirical {check.observed:.6f} "
+                      f"z {check.statistic:+.2f} (gate {check.gate:g})")
+        print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}: {detail}")
+        failures += not check.passed
+    print(f"failures: {failures}")
     return 0 if not failures else 1
 
 

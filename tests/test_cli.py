@@ -12,6 +12,7 @@ import pytest
 
 from crossover_coverage import (
     CoverageQuery,
+    NumericalError,
     RouteDisagreementError,
     TrialDesign,
     coverage_probability,
@@ -175,6 +176,23 @@ class TestSimulate:
         gamma = scaled_carryover(0.9, TrialDesign(8, 8), 1.0)
         assert capsys.readouterr().out.startswith(f"gamma: {gamma!r}\n")
 
+    @pytest.mark.parametrize("estimator, corrupt, failed_line", [
+        ("carryover_effect_estimate", lambda d1, d2, d3, d4: 0.9 * (d1 - d3),
+         "accept z score: -33.705"),
+        ("pooled_effect_estimate", lambda d1, d2, d3, d4: 0.3 * (d1 - d2 + d3 - d4),
+         "z score: -26.644"),
+    ], ids=["accept-rate-gate", "coverage-gate"])
+    def test_corrupted_estimator_fails_its_gate(self, capsys, monkeypatch, estimator,
+                                                corrupt, failed_line):
+        # Each gate fails on its own: the other z stays within 3.5.
+        monkeypatch.setattr(crossover_coverage.simulate, estimator, corrupt)
+        assert main(self.ARGS) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert failed_line in lines
+        zs = [float(line.rsplit(" ", 1)[1]) for line in lines if "z score: " in line]
+        assert sum(abs(z) > 3.5 for z in zs) == 1
+        assert lines[-1] == "result: FAIL (|z| <= 3.5)"
+
     def test_bad_domain_exits_2(self, capsys):
         code = main(["simulate", "--sigma-e2", "-1", "--reps", "10"])
         assert code == 2
@@ -318,6 +336,21 @@ class TestValidate:
         monkeypatch.setattr(crossover_coverage.cli, "estimator_moments", recording)
         assert main(["validate", "--reps", "200000", "--seed", "1729"]) == 0
         assert seen == [200_000]
+
+    def test_checks_print_as_they_complete(self, capsys, monkeypatch):
+        # The moments run last: when they fail, the 11 checks before them
+        # are already on stdout and no summary line follows.
+        def broken(config):
+            raise NumericalError("moments overflowed")
+
+        monkeypatch.setattr(crossover_coverage.cli, "estimator_moments", broken)
+        assert main(["validate", "--reps", "2000", "--seed", "1729"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 11
+        assert all(line.startswith("PASS  ") for line in lines)
+        assert "failures:" not in out
+        assert err == "numerical failure: moments overflowed\n"
 
     def test_route_disagreement_is_a_failed_check(self, capsys, monkeypatch):
         # The routes raise past their tolerance; validate reports that as

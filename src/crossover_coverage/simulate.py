@@ -25,12 +25,14 @@ Reproducibility contract
 ------------------------
 Replication ``r`` of a run with seed ``s`` is block ``r`` of the Philox
 stream keyed by ``s``: words 4r to 4r + 3, whose open uniforms give z
-through ``std_normal_inverse_cdf`` (scipy's ``ndtri``). Tallies are
-therefore bit-identical for any ``chunk_size``, and
-``_batch_estimates(config, r, 1)`` regenerates replication ``r`` alone.
-Moments fold over the automatic chunks of ``_CHUNK_REPS`` replications
-and take no ``chunk_size``. Only ``_philox_words`` positions and advances
-the stream.
+through ``std_normal_inverse_cdf`` (scipy's ``ndtri``). One generator
+serves a whole run: ``empirical_coverage`` and ``estimator_moments`` each
+key one stream and draw their chunks from it in replication order. Tallies
+are therefore bit-identical for any ``chunk_size``, and
+``_batch_estimates(config, r, 1)`` keys a stream of its own at block ``r``
+and regenerates replication ``r`` alone. Moments fold over the automatic
+chunks of ``_CHUNK_REPS`` replications and take no ``chunk_size``. Only
+``_philox_stream`` keys and positions a stream.
 
 ``simulate_trial(design, params, seed, rep_index)`` draws the whole
 subject-level model from a layout of its own, which ``_raw_words`` alone
@@ -185,11 +187,17 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
     return moments
 
 
-def _philox_words(seed: int, block: int, count: int) -> np.ndarray:
-    """count raw words of the Philox stream keyed by seed, from its 4-word block `block` on."""
+def _philox_stream(seed: int, block: int) -> np.random.Philox:
+    """The Philox stream keyed by seed, positioned at its 4-word block `block`.
+
+    Each ``random_raw`` call of whole blocks continues where the last one
+    stopped, so a run builds one and draws its chunks in order. A build
+    costs several times a repositioning: about half of it is a draw of OS
+    entropy that ``key=`` then ignores.
+    """
     bit_gen = np.random.Philox(key=seed)
     bit_gen.advance(block)
-    return bit_gen.random_raw(count)
+    return bit_gen
 
 
 def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:
@@ -206,7 +214,8 @@ def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.nda
             f"{_CHUNK_WORDS} one subject-level trial may draw (n1 + n2 <= {_CHUNK_WORDS // 5}); "
             "coverage depends on the design only through gamma, so simulate a "
             "smaller design at the same gamma")
-    return _philox_words(seed, start * b_pad // 4, count * b_pad).reshape(count, b_pad)[:, :b]
+    words = _philox_stream(seed, start * b_pad // 4).random_raw(count * b_pad)
+    return words.reshape(count, b_pad)[:, :b]
 
 
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -283,9 +292,9 @@ def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> Iterator[tuple[i
     return ((start, min(size, total - start)) for start in range(0, total, size))
 
 
-def _unit_draws(config: SimConfig, start: int, count: int) -> np.ndarray:
-    """z of replications [start, start + count), a row of four each from Philox block r."""
-    z = std_normal_inverse_cdf(_open_uniforms(_philox_words(config.seed, start, 4 * count)))
+def _unit_draws(stream: np.random.Philox, count: int) -> np.ndarray:
+    """z of the stream's next count replications, a row of four each from one Philox block."""
+    z = std_normal_inverse_cdf(_open_uniforms(stream.random_raw(4 * count)))
     return z.reshape(count, 4)
 
 
@@ -296,17 +305,22 @@ def _estimates(d: np.ndarray):
             carryover_effect_estimate(d1, d2, d3, d4))
 
 
-def _batch_estimates(config: SimConfig, start: int, count: int):
+def _batch_estimates(config: SimConfig, start: int, count: int,
+                     stream: np.random.Philox | None = None):
     """Estimator triple for replications [start, start + count), vectorized.
 
     Replication r is Philox block r: its four words give z, and its period
     differences are d = fd + sqrt(m) sigma_e z (the module docstring shows
     this has the subject-level model's law). Element for element the same
-    as ``_batch_estimates(config, r, 1)`` for each r in turn.
+    as ``_batch_estimates(config, r, 1)`` for each r in turn. ``stream`` is
+    the run's stream, positioned at block start; without it the call keys
+    one of its own there.
     """
+    if stream is None:
+        stream = _philox_stream(config.seed, start)
     noise = math.sqrt(config.design.m) * config.two_stage.sigma_e
     return _estimates(_fixed_differences(config.params)
-                      + noise * _unit_draws(config, start, count))
+                      + noise * _unit_draws(stream, count))
 
 
 def _check_precision(config: SimConfig) -> None:
@@ -340,10 +354,11 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
     _check_precision(config)
     theta = config.params.treatment_difference
     rule = _two_stage_rule(config.design, config.two_stage)
+    stream = _philox_stream(config.seed, 0)
     hits = 0
     accepts = 0
     for start, count in _chunk_bounds(config, chunk_size):
-        _, accepted, lo, hi = rule(*_batch_estimates(config, start, count))
+        _, accepted, lo, hi = rule(*_batch_estimates(config, start, count, stream))
         hits += int(np.count_nonzero((lo <= theta) & (theta <= hi)))
         accepts += int(np.count_nonzero(accepted))
     return EmpiricalCoverage(hits=hits, accepts=accepts, total=config.replications)
@@ -363,8 +378,9 @@ def estimator_moments(config: SimConfig) -> EstimatorMoments:
     n = 0
     mean = np.zeros(4)  # of z
     comoment = np.zeros((3, 3))  # sums of products of the estimators' deviations
-    for start, count in _chunk_bounds(config, None):
-        z = _unit_draws(config, start, count)
+    stream = _philox_stream(config.seed, 0)
+    for _, count in _chunk_bounds(config, None):
+        z = _unit_draws(stream, count)
         delta = z.mean(axis=0) - mean
         n += count
         mean += delta * (count / n)

@@ -257,6 +257,27 @@ class TestBatchEngine:
         for chunk_size in (1, 7, 1000, 4096, 9000):
             assert empirical_coverage(config, chunk_size=chunk_size) == auto
 
+    def test_one_philox_per_run(self, monkeypatch):
+        # A run keys one stream and draws its chunks in order, however many.
+        built = []
+
+        class Philox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        config = make_config(replications=2 * _CHUNK_REPS + 5, seed=11)
+        tallies = []
+        for chunk_size in (1, 1000, None):
+            built.clear()
+            tallies.append(empirical_coverage(config, chunk_size=chunk_size))
+            assert built == [{"key": 11}]
+        assert tallies[0] == tallies[1] == tallies[2]
+        built.clear()
+        estimator_moments(config)
+        assert built == [{"key": 11}]
+
     def test_chunks_are_produced_lazily(self):
         # 1e8 replications make about 24,000 chunks; taking the
         # first must not build the rest.

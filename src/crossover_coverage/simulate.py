@@ -25,14 +25,13 @@ Reproducibility contract
 ------------------------
 Replication ``r`` of a run with seed ``s`` is block ``r`` of the Philox
 stream keyed by ``s``: words 4r to 4r + 3, whose open uniforms give z
-through ``std_normal_inverse_cdf`` (scipy's ``ndtri``). One generator
-serves a whole run: ``empirical_coverage`` and ``estimator_moments`` each
-key one stream and draw their chunks from it in replication order. Tallies
-are therefore bit-identical for any ``chunk_size``, and
-``_batch_estimates(config, r, 1)`` keys a stream of its own at block ``r``
-and regenerates replication ``r`` alone. Moments fold over the automatic
-chunks of ``_CHUNK_REPS`` replications and take no ``chunk_size``. Only
-``_philox_stream`` keys and positions a stream.
+through ``std_normal_inverse_cdf`` (scipy's ``ndtri``). ``_unit_chunks``
+keys that stream once per ``empirical_coverage`` or ``estimator_moments``
+call and yields its chunks of z in replication order, so tallies are
+bit-identical for any ``chunk_size``. Replication ``r`` alone is the first
+block drawn after keying a stream with ``s`` and advancing it by ``r``
+blocks. Moments fold over the automatic chunks of ``_CHUNK_REPS``
+replications and take no ``chunk_size``.
 
 ``simulate_trial(design, params, seed, rep_index)`` draws the whole
 subject-level model from a layout of its own, which ``_raw_words`` alone
@@ -41,7 +40,9 @@ subject-period error), padded to whole 4-word blocks. It is the reference
 the tests check the tally's law against; it does not regenerate the
 tallied replication. One trial may draw at most ``_CHUNK_WORDS`` words, so
 it refuses designs with n1 + n2 > 3,276 before any draw. That bounds one
-trial's draw, not a tally chunk: the tally takes any design.
+trial's draw, not a tally chunk: the tally takes any design. ``rep_index``
+stays below 2**64, the seed's range, so a trial's blocks (at most 4,096
+each) never reach the 2**256 where Philox's counter wraps.
 """
 
 from __future__ import annotations
@@ -187,19 +188,6 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
     return moments
 
 
-def _philox_stream(seed: int, block: int) -> np.random.Philox:
-    """The Philox stream keyed by seed, positioned at its 4-word block `block`.
-
-    Each ``random_raw`` call of whole blocks continues where the last one
-    stopped, so a run builds one and draws its chunks in order. A build
-    costs several times a repositioning: about half of it is a draw of OS
-    entropy that ``key=`` then ignores.
-    """
-    bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(block)
-    return bit_gen
-
-
 def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:
     """The subject-level words of replications [start, start + count), one unpadded row each.
 
@@ -214,8 +202,9 @@ def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.nda
             f"{_CHUNK_WORDS} one subject-level trial may draw (n1 + n2 <= {_CHUNK_WORDS // 5}); "
             "coverage depends on the design only through gamma, so simulate a "
             "smaller design at the same gamma")
-    words = _philox_stream(seed, start * b_pad // 4).random_raw(count * b_pad)
-    return words.reshape(count, b_pad)[:, :b]
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(start * b_pad // 4)
+    return bit_gen.random_raw(count * b_pad).reshape(count, b_pad)[:, :b]
 
 
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
@@ -277,25 +266,10 @@ def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,
     reproducibility contract.
     """
     seed = _checked_int("seed", seed, 0, _SEED_LIMIT)
-    rep_index = _checked_int("rep_index", rep_index, 0)
+    rep_index = _checked_int("rep_index", rep_index, 0, _SEED_LIMIT,
+                             why="the seed's range, far below Philox's counter wrap")
     y1, y2 = _responses(design, params, _raw_words(seed, rep_index, 1, design))
     return SubjectResponses(group1=y1[0], group2=y2[0])
-
-
-def _chunk_bounds(config: SimConfig, chunk_size: int | None) -> Iterator[tuple[int, int]]:
-    """(start, count) of each chunk, made lazily; chunk_size None means _CHUNK_REPS.
-
-    Hits are chunk-independent; moments fold over the automatic chunks.
-    """
-    total = config.replications
-    size = _CHUNK_REPS if chunk_size is None else _checked_int("chunk_size", chunk_size, 1)
-    return ((start, min(size, total - start)) for start in range(0, total, size))
-
-
-def _unit_draws(stream: np.random.Philox, count: int) -> np.ndarray:
-    """z of the stream's next count replications, a row of four each from one Philox block."""
-    z = std_normal_inverse_cdf(_open_uniforms(stream.random_raw(4 * count)))
-    return z.reshape(count, 4)
 
 
 def _estimates(d: np.ndarray):
@@ -305,22 +279,14 @@ def _estimates(d: np.ndarray):
             carryover_effect_estimate(d1, d2, d3, d4))
 
 
-def _batch_estimates(config: SimConfig, start: int, count: int,
-                     stream: np.random.Philox | None = None):
-    """Estimator triple for replications [start, start + count), vectorized.
+def _batch_estimates(config: SimConfig, z: np.ndarray):
+    """Estimator triple of a chunk of unit noise z, of shape (count, 4), vectorized.
 
-    Replication r is Philox block r: its four words give z, and its period
-    differences are d = fd + sqrt(m) sigma_e z (the module docstring shows
-    this has the subject-level model's law). Element for element the same
-    as ``_batch_estimates(config, r, 1)`` for each r in turn. ``stream`` is
-    the run's stream, positioned at block start; without it the call keys
-    one of its own there.
+    Its period differences are d = fd + sqrt(m) sigma_e z (the module
+    docstring shows this has the subject-level model's law).
     """
-    if stream is None:
-        stream = _philox_stream(config.seed, start)
     noise = math.sqrt(config.design.m) * config.two_stage.sigma_e
-    return _estimates(_fixed_differences(config.params)
-                      + noise * _unit_draws(stream, count))
+    return _estimates(_fixed_differences(config.params) + noise * z)
 
 
 def _check_precision(config: SimConfig) -> None:
@@ -342,6 +308,21 @@ def _check_precision(config: SimConfig) -> None:
                              f"[0, {config.replications})")
 
 
+def _unit_chunks(config: SimConfig, chunk_size: int | None) -> Iterator[np.ndarray]:
+    """The run's unit noise z, one (count, 4) array per chunk, in replication order.
+
+    Checks the run and keys its one Philox stream when called; each chunk
+    is then drawn lazily, a row of four normals per 4-word block.
+    chunk_size None means _CHUNK_REPS.
+    """
+    _check_precision(config)
+    size = _CHUNK_REPS if chunk_size is None else _checked_int("chunk_size", chunk_size, 1)
+    total = config.replications
+    stream = np.random.Philox(key=config.seed)
+    draws = (stream.random_raw(4 * min(size, total - start)) for start in range(0, total, size))
+    return (std_normal_inverse_cdf(_open_uniforms(raw)).reshape(-1, 4) for raw in draws)
+
+
 def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> EmpiricalCoverage:
     """Simulate the two-stage procedure and tally coverage of its interval.
 
@@ -351,14 +332,13 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
     (including its seed) and independent of chunk_size, which only bounds
     working memory.
     """
-    _check_precision(config)
+    chunks = _unit_chunks(config, chunk_size)
     theta = config.params.treatment_difference
     rule = _two_stage_rule(config.design, config.two_stage)
-    stream = _philox_stream(config.seed, 0)
     hits = 0
     accepts = 0
-    for start, count in _chunk_bounds(config, chunk_size):
-        _, accepted, lo, hi = rule(*_batch_estimates(config, start, count, stream))
+    for z in chunks:
+        _, accepted, lo, hi = rule(*_batch_estimates(config, z))
         hits += int(np.count_nonzero((lo <= theta) & (theta <= hi)))
         accepts += int(np.count_nonzero(accepted))
     return EmpiricalCoverage(hits=hits, accepts=accepts, total=config.replications)
@@ -374,13 +354,11 @@ def estimator_moments(config: SimConfig) -> EstimatorMoments:
     the estimators of fd + sqrt(m) sigma_e mean(z), and the covariances (n - 1
     divisor, n for one replication) the unit ones times (sqrt(m) sigma_e)^2.
     """
-    _check_precision(config)
     n = 0
     mean = np.zeros(4)  # of z
     comoment = np.zeros((3, 3))  # sums of products of the estimators' deviations
-    stream = _philox_stream(config.seed, 0)
-    for _, count in _chunk_bounds(config, None):
-        z = _unit_draws(stream, count)
+    for z in _unit_chunks(config, None):
+        count = len(z)
         delta = z.mean(axis=0) - mean
         n += count
         mean += delta * (count / n)

@@ -30,10 +30,10 @@ from crossover_coverage import (
 from crossover_coverage.simulate import (
     _CHUNK_REPS,
     _batch_estimates,
-    _chunk_bounds,
     _open_uniforms,
     _raw_words,
     _responses,
+    _unit_chunks,
 )
 from crossover_coverage.trial import (
     _period_differences,
@@ -71,7 +71,8 @@ def subject_level_run(config):
     rule = _two_stage_rule(config.design, config.two_stage)
     hits = accepts = 0
     chunks = []
-    for start, count in _chunk_bounds(config, 2000):
+    for start in range(0, config.replications, 2000):
+        count = min(2000, config.replications - start)
         x = np.stack(subject_level_estimates(config, start, count))
         _, accepted, lo, hi = rule(*x)
         hits += int(np.count_nonzero((lo <= theta) & (theta <= hi)))
@@ -242,14 +243,21 @@ class TestBatchEngine:
         expected = (pooled_effect_estimate(d1, d2, d3, d4),
                     robust_effect_estimate(d1, d2, d3, d4),
                     carryover_effect_estimate(d1, d2, d3, d4))
-        for got, want in zip(_batch_estimates(config, 0, 9), expected):
+        for got, want in zip(_batch_estimates(config, next(_unit_chunks(config, None))),
+                             expected):
             assert np.array_equal(got, want)
 
     def test_any_replication_regenerates_alone(self):
+        # Replication r of the tally's chunks is the first block of a stream
+        # keyed by the seed and advanced by r blocks.
         config = make_config(replications=_CHUNK_REPS + 3, seed=8)
-        whole = np.stack(_batch_estimates(config, 0, config.replications))
+        z_all = np.concatenate(list(_unit_chunks(config, None)))
+        whole = np.stack(_batch_estimates(config, z_all))
         for r in (0, 1, _CHUNK_REPS - 1, _CHUNK_REPS, _CHUNK_REPS + 2):
-            assert np.array_equal(np.stack(_batch_estimates(config, r, 1))[:, 0], whole[:, r])
+            stream = np.random.Philox(key=8)
+            stream.advance(r)
+            z = std_normal_inverse_cdf(_open_uniforms(stream.random_raw(4))).reshape(1, 4)
+            assert np.array_equal(np.stack(_batch_estimates(config, z))[:, 0], whole[:, r])
 
     def test_chunk_invariance(self):
         config = make_config(replications=9000, seed=9)
@@ -284,16 +292,16 @@ class TestBatchEngine:
         config = make_config(n1=8, n2=8, replications=10**8, seed=1)
         tracemalloc.start()
         try:
-            first = next(iter(_chunk_bounds(config, None)))
+            first = next(_unit_chunks(config, None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert first == (0, 4096)
+        assert first.shape == (4096, 4)
         assert peak < 2**20
 
     def test_chunk_size_checked_before_any_chunk(self):
         with pytest.raises(DomainError):
-            _chunk_bounds(make_config(replications=10), 0)
+            _unit_chunks(make_config(replications=10), 0)
 
 
 def assert_moments_near_closed_forms(sample, exact, n):
@@ -509,7 +517,7 @@ class TestEstimatorMoments:
         # correlation of two constants is undefined.
         config = make_config(replications=1, seed=5)
         moments = estimator_moments(config)
-        (pooled,), (robust,), (carry,) = _batch_estimates(config, 0, 1)
+        (pooled,), (robust,), (carry,) = _batch_estimates(config, next(_unit_chunks(config, None)))
         assert (moments.mean_pooled, moments.mean_robust,
                 moments.mean_carryover) == (pooled, robust, carry)
         for field in ("var_pooled", "var_robust", "var_carryover",
@@ -567,7 +575,7 @@ class TestEstimatorMoments:
             config = make_config(n1=n1, n2=n2, sigma_s2=2.5, sigma_e2=0.4,
                                  replications=n, seed=n)
             moments = estimator_moments(config)
-            x = np.stack(_batch_estimates(config, 0, n))
+            x = np.stack(_batch_estimates(config, next(_unit_chunks(config, n))))
             cov = np.cov(x, ddof=1 if n > 1 else 0)
             scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
             for i, name in enumerate(names):
@@ -661,7 +669,7 @@ class TestConfigValidation:
         trial = simulate_trial(design, ModelParams(), 0, 0)
         assert trial.group1.shape == trial.group2.shape == (1638, 4)
         config = SimConfig(design, ModelParams(), 0.1, 0.05, 10, 0)
-        assert list(_chunk_bounds(config, None)) == [(0, 10)]
+        assert [z.shape for z in _unit_chunks(config, None)] == [(10, 4)]
         assert empirical_coverage(config).total == 10
 
     # n1 + n2 = 3,277 and 2**64 - 1

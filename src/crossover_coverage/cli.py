@@ -52,6 +52,7 @@ from .simulate import (
     EstimatorMoments,
     SimConfig,
     _binomial_z,
+    _moment_std_errors,
     empirical_coverage,
     estimator_moments,
     theoretical_moments,
@@ -235,24 +236,7 @@ def validation_checks(reps: int, seed: int):
     mom_config = SimConfig(mom_design, mom_params, alpha1, alpha, reps, seed)
     sample = estimator_moments(mom_config)
     exact = theoretical_moments(mom_design, mom_params)
-    # The standard error of each sample moment, field by field. They scale
-    # with 1/sqrt(reps), so smoke runs with few replications get
-    # correspondingly wide gates automatically.
-    rho = exact.corr_robust_carryover
-    var_rel_se = math.sqrt(2.0 / (reps - 1))
-    std_err = EstimatorMoments(
-        mean_pooled=math.sqrt(exact.var_pooled / reps),
-        mean_robust=math.sqrt(exact.var_robust / reps),
-        mean_carryover=math.sqrt(exact.var_carryover / reps),
-        var_pooled=exact.var_pooled * var_rel_se,
-        var_robust=exact.var_robust * var_rel_se,
-        var_carryover=exact.var_carryover * var_rel_se,
-        cov_pooled_carryover=math.sqrt(exact.var_pooled * exact.var_carryover
-                                       / reps),
-        cov_robust_carryover=math.sqrt((1.0 + rho * rho) * exact.var_robust
-                                       * exact.var_carryover / reps),
-        corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(reps),
-    )
+    std_err = _moment_std_errors(exact, reps)
     for field in fields(EstimatorMoments):
         got, want, se = (getattr(m, field.name) for m in (sample, exact, std_err))
         yield Check(f"moments {field.name}", got, want, (got - want) / se, 4.0)

@@ -111,8 +111,8 @@ class CoverageResult:
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise DomainError("coverage value must lie in [0, 1]")
-        if self.err_bound < 0.0:
-            raise DomainError("err_bound must be nonnegative")
+        if not self.err_bound >= 0.0:  # NaN fails too
+            raise DomainError(f"err_bound must be nonnegative, got {self.err_bound!r}")
 
 
 @dataclass(frozen=True)

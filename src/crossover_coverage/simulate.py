@@ -119,6 +119,13 @@ class EmpiricalCoverage:
     accepts: int
     total: int
 
+    def __post_init__(self):
+        total = _checked_int("total", self.total, 1)
+        object.__setattr__(self, "total", total)
+        for name in ("hits", "accepts"):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), 0, total + 1,
+                                                       why=f"at most total = {total}"))
+
     @property
     def estimate(self) -> float:
         return self.hits / self.total
@@ -186,6 +193,28 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
     if not all(map(math.isfinite, astuple(moments))):
         raise NumericalError(f"the exact moments overflow: {moments}")
     return moments
+
+
+def _moment_std_errors(exact: EstimatorMoments, n: int) -> EstimatorMoments:
+    """Large-sample standard errors of the sample moments of n > 1 replications, at exact.
+
+    They scale with 1/sqrt(n), so runs with few replications get
+    correspondingly wide gates.
+    """
+    rho = exact.corr_robust_carryover
+    var_rel_se = math.sqrt(2.0 / (n - 1))
+    return EstimatorMoments(
+        mean_pooled=math.sqrt(exact.var_pooled / n),
+        mean_robust=math.sqrt(exact.var_robust / n),
+        mean_carryover=math.sqrt(exact.var_carryover / n),
+        var_pooled=exact.var_pooled * var_rel_se,
+        var_robust=exact.var_robust * var_rel_se,
+        var_carryover=exact.var_carryover * var_rel_se,
+        cov_pooled_carryover=math.sqrt(exact.var_pooled * exact.var_carryover / n),
+        cov_robust_carryover=math.sqrt((1.0 + rho * rho) * exact.var_robust
+                                       * exact.var_carryover / n),
+        corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(n),
+    )
 
 
 def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:

@@ -11,6 +11,7 @@ from crossover_coverage import coverage as coverage_module
 from crossover_coverage import (
     PIVOT_PRETEST_CORR,
     CoverageQuery,
+    CoverageResult,
     DomainError,
     ModelParams,
     QuadratureError,
@@ -135,6 +136,12 @@ class TestRejectCoverProb:
 
 
 class TestCoverageProbability:
+    @pytest.mark.parametrize("value,err_bound", [
+        (0.5, math.nan), (0.5, -1e-300), (math.nan, 0.0), (1.5, 0.0)])
+    def test_result_refuses_impossible_values(self, value, err_bound):
+        with pytest.raises(DomainError):
+            CoverageResult(value, err_bound)
+
     def test_reference_values(self):
         for gamma, ref in COVERAGE_REFS.items():
             result = coverage_probability(CoverageQuery(gamma, 0.1, 0.05))

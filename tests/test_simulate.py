@@ -30,6 +30,7 @@ from crossover_coverage import (
 from crossover_coverage.simulate import (
     _CHUNK_REPS,
     _batch_estimates,
+    _moment_std_errors,
     _open_uniforms,
     _raw_words,
     _responses,
@@ -135,6 +136,16 @@ class TestStreams:
             simulate_trial(design, params, True, 0)
         with pytest.raises(DomainError):
             simulate_trial(design, params, 3, -1)
+
+    def test_rep_index_below_seed_range(self):
+        # Philox's counter wraps after 2**256 blocks, where trial 2**256 + 1
+        # would repeat trial 1; the seed's range keeps every trial far below.
+        design, params = TrialDesign(2, 2), ModelParams(0.7, 0.3)
+        for rep_index in (2**64, 2**256 + 1):
+            with pytest.raises(DomainError, match=f"rep_index must be below {2**64} "):
+                simulate_trial(design, params, 5, rep_index)
+        last = simulate_trial(design, params, 5, 2**64 - 1)
+        assert not np.array_equal(last.group1, simulate_trial(design, params, 5, 0).group1)
 
 
 class TestSimulateTrial:
@@ -306,20 +317,7 @@ class TestBatchEngine:
 
 def assert_moments_near_closed_forms(sample, exact, n):
     """Each moment within 4 of its large-sample standard errors, as validate gates them."""
-    rho = exact.corr_robust_carryover
-    var_rel_se = math.sqrt(2.0 / (n - 1))
-    std_err = EstimatorMoments(
-        mean_pooled=math.sqrt(exact.var_pooled / n),
-        mean_robust=math.sqrt(exact.var_robust / n),
-        mean_carryover=math.sqrt(exact.var_carryover / n),
-        var_pooled=exact.var_pooled * var_rel_se,
-        var_robust=exact.var_robust * var_rel_se,
-        var_carryover=exact.var_carryover * var_rel_se,
-        cov_pooled_carryover=math.sqrt(exact.var_pooled * exact.var_carryover / n),
-        cov_robust_carryover=math.sqrt((1.0 + rho * rho) * exact.var_robust
-                                       * exact.var_carryover / n),
-        corr_robust_carryover=(1.0 - rho * rho) / math.sqrt(n),
-    )
+    std_err = _moment_std_errors(exact, n)
     for field in fields(EstimatorMoments):
         got, want, se = (getattr(m, field.name) for m in (sample, exact, std_err))
         assert abs(got - want) <= 4.0 * se, (field.name, got, want)
@@ -372,6 +370,19 @@ class TestEmpiricalCoverage:
         assert emp.estimate == emp.hits / emp.total
         assert abs(emp.std_err
                    - math.sqrt(emp.estimate * (1 - emp.estimate) / emp.total)) < 1e-15
+
+    @pytest.mark.parametrize("hits,accepts,total", [
+        (5, 0, 3), (0, 4, 3), (-1, 0, 3), (0, -1, 3), (1, 1, 0), (0, 0, -2),
+        (1.0, 1, 2), (1, True, 2), (1, 1, 2.0)])
+    def test_impossible_counts_refused(self, hits, accepts, total):
+        with pytest.raises(DomainError):
+            EmpiricalCoverage(hits, accepts, total)
+
+    def test_counts_kept_as_ints(self):
+        emp = EmpiricalCoverage(np.int64(3), np.int32(0), np.int64(3))
+        assert (emp.hits, emp.accepts, emp.total) == (3, 0, 3)
+        assert all(type(v) is int for v in (emp.hits, emp.accepts, emp.total))
+        assert (emp.estimate, emp.accept_rate, emp.std_err) == (1.0, 0.0, 0.0)
 
     def test_z_uses_expected_std_err(self):
         # All hits: the sample's std_err is 0, the expected coverage's is not.

@@ -40,7 +40,8 @@ print(json.dumps(layer_metrics(tracer.take())))
 """
 
 COUNTED = ("coverage.evals", "coverage.quad_calls", "bivariate.rect_calls",
-           "normal.quantile_calls", "simulate.raw_words", "simulate.chunks",
+           "normal.quantile_calls", "normal.inverse_cdf_values", "trial.estimator_s",
+           "simulate.raw_words", "simulate.chunks",
            "cli.route_checks_s", "cli.mc_s", "cli.moments_s")
 
 

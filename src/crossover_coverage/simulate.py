@@ -196,7 +196,7 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
 
 
 def _moment_std_errors(exact: EstimatorMoments, n: int) -> EstimatorMoments:
-    """Large-sample standard errors of the sample moments of n > 1 replications, at exact.
+    """Large-sample standard errors of n > 1 replications' sample moments, at the exact ones.
 
     They scale with 1/sqrt(n), so runs with few replications get
     correspondingly wide gates.
@@ -361,12 +361,11 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
     (including its seed) and independent of chunk_size, which only bounds
     working memory.
     """
-    chunks = _unit_chunks(config, chunk_size)
     theta = config.params.treatment_difference
     rule = _two_stage_rule(config.design, config.two_stage)
     hits = 0
     accepts = 0
-    for z in chunks:
+    for z in _unit_chunks(config, chunk_size):
         _, accepted, lo, hi = rule(*_batch_estimates(config, z))
         hits += int(np.count_nonzero((lo <= theta) & (theta <= hi)))
         accepts += int(np.count_nonzero(accepted))

@@ -54,7 +54,10 @@ def _checked_int(name: str, value, minimum: int, below: int | None = None, why="
 
 def _checked_real(name: str, value, *, level: bool = False,
                   infinite: bool = False, sign: str | None = None) -> float:
-    """``value`` as a finite float; with ``level``, strictly inside (0, 1).
+    """``value`` as a finite float; with ``level``, in [1e-323, 1).
+
+    A level's domain is [1e-323, 1) because the two-sided quantile halves
+    it: the half of 5e-324, the smallest subnormal, underflows to 0.
 
     With ``infinite``, +/-inf are admitted too; NaN never is. ``sign`` is
     "positive" (above 0) or "nonnegative" (at least 0, so -0.0 passes).
@@ -68,8 +71,8 @@ def _checked_real(name: str, value, *, level: bool = False,
     if math.isnan(value) or (not infinite and math.isinf(value)):
         raise DomainError(f"{name} must be {'a number' if infinite else 'finite'}, "
                           f"got {value!r}")
-    if level and not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+    if level and not 1e-323 <= value < 1.0:
+        raise DomainError(f"{name} must lie in [1e-323, 1), got {value!r}")
     if sign is not None and not (value > 0.0 if sign == "positive" else value >= 0.0):
         raise DomainError(f"{name} must be {sign}, got {value!r}")
     return value

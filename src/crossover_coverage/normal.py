@@ -71,7 +71,7 @@ def std_normal_quantile(a):
     Parameters
     ----------
     a : float
-        Significance level, a real number strictly inside (0, 1).
+        Significance level, a real number in [1e-323, 1).
 
     Returns
     -------
@@ -80,8 +80,6 @@ def std_normal_quantile(a):
     """
     a = _checked_real("a", a, level=True)
     # a/2 is an exact halving, so no precision is lost entering the tail.
-    if a / 2.0 == 0.0:
-        raise DomainError(f"a must be at least 1e-323, or its half underflows; got {a!r}")
     return -cython_special.ndtri(a / 2.0)
 
 

@@ -34,7 +34,7 @@ blocks. Moments fold over the automatic chunks of ``_CHUNK_REPS``
 replications and take no ``chunk_size``.
 
 ``simulate_trial(design, params, seed, rep_index)`` draws the whole
-subject-level model from a layout of its own, which ``_raw_words`` alone
+subject-level model from a layout of its own, which ``_responses`` alone
 writes: ``5 * (n1 + n2)`` words per trial (one per subject effect, one per
 subject-period error), padded to whole 4-word blocks. It is the reference
 the tests check the tally's law against; it does not regenerate the
@@ -217,25 +217,6 @@ def _moment_std_errors(exact: EstimatorMoments, n: int) -> EstimatorMoments:
     )
 
 
-def _raw_words(seed: int, start: int, count: int, design: TrialDesign) -> np.ndarray:
-    """The subject-level words of replications [start, start + count), one unpadded row each.
-
-    A replication takes 5 (n1 + n2) words, padded to whole 4-word blocks;
-    one trial may draw at most _CHUNK_WORDS of them.
-    """
-    b = 5 * (design.n1 + design.n2)
-    b_pad = -(-b // 4) * 4
-    if b_pad > _CHUNK_WORDS:
-        raise DomainError(
-            f"n1 + n2 = {design.n1 + design.n2} draws {b_pad} words per trial, over the "
-            f"{_CHUNK_WORDS} one subject-level trial may draw (n1 + n2 <= {_CHUNK_WORDS // 5}); "
-            "coverage depends on the design only through gamma, so simulate a "
-            "smaller design at the same gamma")
-    bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(start * b_pad // 4)
-    return bit_gen.random_raw(count * b_pad).reshape(count, b_pad)[:, :b]
-
-
 def _open_uniforms(raw: np.ndarray) -> np.ndarray:
     # (k + 1/2) / 2**52 over the top 52 bits: exact, symmetric, never 0 or 1.
     return ((raw >> 12).astype(np.float64) + 0.5) * 2.0**-52
@@ -253,18 +234,29 @@ def _treatment_table(params: ModelParams) -> np.ndarray:
                      [0.0, theta, residual, theta]])
 
 
-def _responses(design: TrialDesign, params: ModelParams,
-               raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both groups' responses from a (count, 5 * (n1 + n2)) block of raw words.
+def _responses(design: TrialDesign, params: ModelParams, seed: int, start: int,
+               count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both groups' responses in subject-level trials [start, start + count) of seed's stream.
 
-    Each row holds one trial, in a fixed order: the n1 + n2 subject effects,
-    group 1's subjects first, then each subject's four period errors in the
-    same subject order. Both groups are built as one (count, n1 + n2, 4)
-    array, fixed effect + subject effect + error; the two returned views of
-    it have shapes (count, n1, 4) and (count, n2, 4).
+    A trial reads its 5 (n1 + n2) words, padded to whole 4-word blocks, in a
+    fixed order: the n1 + n2 subject effects, group 1's subjects first, then
+    each subject's four period errors in the same subject order. Both groups
+    are built as one (count, n1 + n2, 4) array, fixed effect + subject effect
+    + error, and returned as its (count, n1, 4) and (count, n2, 4) views.
     """
     n1, n2 = design.n1, design.n2
     total = n1 + n2
+    words = 5 * total
+    padded = -(-words // 4) * 4
+    if padded > _CHUNK_WORDS:
+        raise DomainError(
+            f"n1 + n2 = {total} draws {padded} words per trial, over the "
+            f"{_CHUNK_WORDS} one subject-level trial may draw (n1 + n2 <= {_CHUNK_WORDS // 5}); "
+            "coverage depends on the design only through gamma, so simulate a "
+            "smaller design at the same gamma")
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(start * padded // 4)
+    raw = bit_gen.random_raw(count * padded).reshape(count, padded)[:, :words]
     z = std_normal_inverse_cdf(_open_uniforms(raw))
     sigma_s = math.sqrt(params.between_subject_var)
     sigma_e = math.sqrt(params.error_var)
@@ -297,7 +289,7 @@ def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,
     seed = _checked_int("seed", seed, 0, _SEED_LIMIT)
     rep_index = _checked_int("rep_index", rep_index, 0, _SEED_LIMIT,
                              why="the seed's range, far below Philox's counter wrap")
-    y1, y2 = _responses(design, params, _raw_words(seed, rep_index, 1, design))
+    y1, y2 = _responses(design, params, seed, rep_index, 1)
     return SubjectResponses(group1=y1[0], group2=y2[0])
 
 

@@ -32,7 +32,6 @@ from crossover_coverage.simulate import (
     _batch_estimates,
     _moment_std_errors,
     _open_uniforms,
-    _raw_words,
     _responses,
     _unit_chunks,
 )
@@ -59,7 +58,7 @@ def make_config(n1=2, n2=2, theta=0.7, psi=0.3, sigma_s2=1.0, sigma_e2=1.0,
 def subject_level_estimates(config, start, count):
     """Estimator triple of the subject-level replications [start, start + count)."""
     design = config.design
-    y1, y2 = _responses(design, config.params, _raw_words(config.seed, start, count, design))
+    y1, y2 = _responses(design, config.params, config.seed, start, count)
     d1, d2, d3, d4 = _period_differences(design, y1, y2).T
     return (pooled_effect_estimate(d1, d2, d3, d4),
             robust_effect_estimate(d1, d2, d3, d4),

@@ -301,8 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="true treatment difference")
     sim.add_argument("--psi", type=float, default=0.0,
                      help="true differential carryover")
-    sim.add_argument("--sigma-s2", type=float, default=1.0)
-    sim.add_argument("--sigma-e2", type=float, default=1.0)
+    sim.add_argument("--sigma-s2", type=float, default=1.0,
+                     help="between-subject variance; it cancels from every estimator, "
+                          "so the run does not draw it (default 1)")
+    sim.add_argument("--sigma-e2", type=float, default=1.0,
+                     help="error variance; the procedure's sigma_e is its square root "
+                          "(default 1)")
     sim.add_argument("--alpha1", type=float, default=0.1)
     sim.add_argument("--alpha", type=float, default=0.05)
     sim.add_argument("--reps", type=int, default=1_000_000)

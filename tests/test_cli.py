@@ -126,6 +126,12 @@ class TestMinCoverage:
         assert len([l for l in captured.out.splitlines() if l.strip()]) == 2
 
 
+    def test_subnormal_level_refused_by_name(self, capsys):
+        # The half of 5e-324 underflows; the refusal names the flag's level.
+        assert main(["min-coverage", "--alpha1", "5e-324"]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha1 must")
+
+
 class TestSimulate:
     ARGS = ["simulate", "--n1", "2", "--n2", "2", "--theta", "0.7",
             "--psi", "0", "--reps", "20000", "--seed", "5"]
@@ -196,6 +202,10 @@ class TestSimulate:
     def test_bad_domain_exits_2(self, capsys):
         code = main(["simulate", "--sigma-e2", "-1", "--reps", "10"])
         assert code == 2
+
+    def test_subnormal_level_refused_by_name(self, capsys):
+        assert main(["simulate", "--alpha", "5e-324", "--reps", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha must")
 
     def test_overflow_is_a_numerical_failure(self, capsys):
         # NaN estimates must not be tallied as misses and reported as FAIL.

@@ -20,7 +20,7 @@ def _run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    result = subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 

@@ -357,6 +357,64 @@ class TestSubjectLevelEquivalence:
         assert_moments_near_closed_forms(sample_moments(estimates), exact, self.REPS)
 
 
+class TestSubjectLevelIdentity:
+    """The tally's period differences against the subject-level model's, draw for draw.
+
+    Draw A is a subject-level run with every term of the model. Draw B reads
+    the same words with theta = psi = 0, sigma_s^2 = 0, sigma_e^2 = 1 and no
+    nuisance terms, so its responses are exactly A's unit error normals, and
+    w = (e1 - e2) / sqrt(m) per period, e a group's mean error, is unit
+    noise. The module docstring's identity d = fd + sqrt(m) sigma_e w then
+    makes ``_batch_estimates(A, w)`` A's subject-level estimates, up to
+    rounding, which this bounds.
+
+    Every value either side forms before its estimators has magnitude at most
+    Y = max |theta or r| + |grand mean| + max |period effect| + Z (sigma_s +
+    sigma_e), Z = 8.21 bounding |z|; so does each response. Each rounding errs
+    by at most u = 2**-53 of its result, and to first order in u:
+    - A's response takes 6 roundings, a group's period mean of n of them at
+      most n more (a sum in any order, then a division), and d one more of a
+      value at most 2Y: A's d is off by at most (n1 + n2 + 14) u Y.
+    - B's group means of n normals err by n u Z each, and their difference by
+      2 u Z more: (n1 + n2 + 2) u Z, scaled by sigma_e. Forming sqrt(m)
+      sigma_e w takes 3 roundings of a value at most 2Y (the computed sqrt(m)
+      cancels), fd 1 and d 1: B's d is off by at most (n1 + n2 + 12) u Y.
+    - An estimator's coefficients b sum to at most ||b||_1 = 2 in absolute
+      value, and it takes at most 4 roundings per side, each of a value at
+      most 2 ||b||_1 Y.
+    So the estimates differ by at most 2 (2 (n1 + n2) + 26) u Y + 32 u Y =
+    4 (n1 + n2 + 21) u Y.
+    """
+
+    REPS = 200
+
+    @pytest.mark.parametrize("n1,n2,model", [
+        (3, 5, ModelParams(0.7, 0.3, 1.0, 1.0, 3.7, (0.5, -1.25, 2.0, 3.75))),
+        (1, 4, ModelParams(-0.4, 0.9, 100.0, 2.5, -2.0, (0.0, 1.0, 2.0, 3.0))),
+        (10, 5, ModelParams(1.2, 1.7, 0.5, 0.25, 10.0, (0.0, -0.3, 0.2, 0.1))),
+        (400, 900, ModelParams(0.7, 0.73, 1e4, 1.0, 1e6, (0.0, 0.3, -0.2, 0.5))),
+    ], ids=["3-5", "1-4-subject-variance-100", "10-5", "400-900-grand-mean-1e6"])
+    def test_tally_estimates_are_the_subject_level_ones(self, n1, n2, model):
+        design = TrialDesign(n1, n2)
+        config = SimConfig(design, model, 0.1, 0.05, self.REPS, 2011)
+        y1, y2 = _responses(design, model, config.seed, 3, self.REPS)
+        e1, e2 = _responses(design, ModelParams(0.0, 0.0, 0.0, 1.0), config.seed, 3, self.REPS)
+        w = _period_differences(design, e1, e2) / math.sqrt(design.m)
+        fixed = max(abs(model.treatment_difference), abs(model.differential_carryover / 0.75))
+        bound = (fixed + abs(model.grand_mean) + max(map(abs, model.period_effects))
+                 + 8.21 * (math.sqrt(model.between_subject_var) + math.sqrt(model.error_var)))
+        assert max(np.abs(y1).max(), np.abs(y2).max()) <= bound
+        tol = 4 * (n1 + n2 + 21) * 2.0**-53 * bound
+        d1, d2, d3, d4 = _period_differences(design, y1, y2).T
+        subject_level = (pooled_effect_estimate(d1, d2, d3, d4),
+                         robust_effect_estimate(d1, d2, d3, d4),
+                         carryover_effect_estimate(d1, d2, d3, d4))
+        s = math.sqrt(design.m * model.error_var / 4)
+        for got, want in zip(_batch_estimates(config, w), subject_level):
+            gap = float(np.max(np.abs(got - want)))
+            assert gap <= tol, (gap / s, tol / s)
+
+
 class TestEmpiricalCoverage:
     def test_reproducible(self):
         config = make_config(replications=2000, seed=77)

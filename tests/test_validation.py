@@ -189,6 +189,32 @@ def test_sign_rules(fn, sign, smallest):
         fn(good)
 
 
+# Every level argument of an ENTRY_POINTS row. A level lies in [1e-323, 1):
+# the two-sided quantile halves it, and the half of 5e-324 underflows to 0.
+LEVELS = [pytest.param(fn, kwargs, arg, id=f"{name}-{arg}")
+          for name, fn, kwargs in ENTRY_POINTS for arg in kwargs
+          if arg in ("alpha1", "alpha", "a")]
+
+
+def test_level_table_covers_every_level_entry_point():
+    assert {param.id.rsplit("-", 1)[0] for param in LEVELS} == {
+        "CoverageQuery", "reject_cover_routes", "reject_cover_prob", "coverage_curve",
+        "min_coverage", "min_coverage_table", "TwoStageConfig", "SimConfig.create",
+        "std_normal_quantile"}
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, 5e-324])
+@pytest.mark.parametrize("fn,kwargs,arg", LEVELS)
+def test_level_rule_refuses_by_name(fn, kwargs, arg, bad):
+    with pytest.raises(DomainError, match=f"^{arg} must"):
+        fn(**{**kwargs, arg: bad})
+
+
+@pytest.mark.parametrize("fn,kwargs,arg", LEVELS)
+def test_smallest_level_accepted(fn, kwargs, arg):
+    fn(**{**kwargs, arg: 1e-323})
+
+
 # Edge values for generated arguments. 0 and 2**64 +/- 1 are ints, so integer
 # arguments draw them too; a float handed to one of those is refused.
 EDGES = [0, -0.0, 5e-324, 2.0**-1022, 1e-300, 1e154, 1e300, 1e308, -1e308,

@@ -125,7 +125,6 @@ class TestMinCoverage:
         assert "duplicate" in captured.err
         assert len([l for l in captured.out.splitlines() if l.strip()]) == 2
 
-
     def test_subnormal_level_refused_by_name(self, capsys):
         # The half of 5e-324 underflows; the refusal names the flag's level.
         assert main(["min-coverage", "--alpha1", "5e-324"]) == 2

@@ -374,7 +374,9 @@ class TestSubjectLevelIdentity:
     by at most u = 2**-53 of its result, and to first order in u:
     - A's response takes 6 roundings, a group's period mean of n of them at
       most n more (a sum in any order, then a division), and d one more of a
-      value at most 2Y: A's d is off by at most (n1 + n2 + 14) u Y.
+      value at most 2Y: A's d is off its exact value by at most
+      (n1 + n2 + 14) u Y. That exact value also holds the subject term
+      c (1, 1, 1, 1), which every estimator annihilates exactly.
     - B's group means of n normals err by n u Z each, and their difference by
       2 u Z more: (n1 + n2 + 2) u Z, scaled by sigma_e. Forming sqrt(m)
       sigma_e w takes 3 roundings of a value at most 2Y (the computed sqrt(m)

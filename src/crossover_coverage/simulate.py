@@ -30,7 +30,7 @@ keys that stream once per ``empirical_coverage`` or ``estimator_moments``
 call and yields its chunks of z in replication order, so tallies are
 bit-identical for any ``chunk_size``. Replication ``r`` alone is the first
 block drawn after keying a stream with ``s`` and advancing it by ``r``
-blocks. Moments fold over the automatic chunks of ``_CHUNK_REPS``
+blocks. Moments sum over the automatic chunks of ``_CHUNK_REPS``
 replications and take no ``chunk_size``.
 
 ``simulate_trial(design, params, seed, rep_index)`` draws the whole
@@ -367,29 +367,29 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
 def estimator_moments(config: SimConfig) -> EstimatorMoments:
     """Sample moments of the three estimators over a simulation run.
 
-    Each automatic chunk's mean of the unit-noise draws z, and co-moments of
-    the estimators of z, merge into running totals in replication order
-    (Chan's update): memory stays flat, and nothing overflows or underflows.
-    The correlation is taken there. The estimators being linear, the means are
-    the estimators of fd + sqrt(m) sigma_e mean(z), and the covariances (n - 1
-    divisor, n for one replication) the unit ones times (sqrt(m) sigma_e)^2.
+    One pass over the automatic chunks sums z, the estimators x of z, and
+    x x^T: memory stays flat. The covariances are (sum x x^T - (sum x)(sum x)^T
+    / n) / (n - 1), n for one replication; the correlation is taken there. This
+    one-pass formula loses digits only when the means are large against the
+    spread (Chan, Golub & LeVeque, The American Statistician 37(3), 1983). Here
+    x, in unit-noise coordinates, has mean 0 and unit-order spread, and nothing
+    overflows or underflows. The estimators being linear, the means are the
+    estimators of fd + sqrt(m) sigma_e mean(z), and the covariances the unit
+    ones times (sqrt(m) sigma_e)^2.
     """
-    n = 0
-    mean = np.zeros(4)  # of z
-    comoment = np.zeros((3, 3))  # sums of products of the estimators' deviations
+    n = config.replications
+    z_sum, x_sum, xx_sum = np.zeros(4), np.zeros(3), np.zeros((3, 3))
     for z in _unit_chunks(config, None):
-        count = len(z)
-        delta = z.mean(axis=0) - mean
-        n += count
-        mean += delta * (count / n)
-        x, shift = np.array(_estimates(z)), np.array(_estimates(delta))
-        comoment += count * (np.cov(x, ddof=0) + np.outer(shift, shift) * ((n - count) / n))
-    cov = comoment / (n - 1 if n > 1 else n)
+        x = np.array(_estimates(z))
+        z_sum += z.sum(axis=0)
+        x_sum += x.sum(axis=1)
+        xx_sum += x @ x.T
+    cov = (xx_sum - np.outer(x_sum, x_sum) / n) / (n - 1 if n > 1 else n)
     corr = float(cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])) if n > 1 else math.nan
     noise = math.sqrt(config.design.m) * config.two_stage.sigma_e
     with np.errstate(over="ignore"):  # refused below
         cov = cov * noise * noise
     if not np.isfinite(cov).all():
         raise NumericalError(f"the estimators' co-moments overflow in replications [0, {n})")
-    means = _estimates(_fixed_differences(config.params) + noise * mean)
+    means = _estimates(_fixed_differences(config.params) + noise * (z_sum / n))
     return EstimatorMoments._from_cov(means, cov, corr)

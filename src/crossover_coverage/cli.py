@@ -31,6 +31,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -69,6 +70,11 @@ _VALIDATE_MIN_REPS = 1000
 
 #: validate's route-agreement grid: gamma, alpha1 and alpha.
 _ROUTE_GRID = ([0.0, 0.5, 1.0, 2.0, 5.0], [0.05, 0.1, 0.2], [0.01, 0.05, 0.1])
+
+#: Help texts of the two levels; argparse fills in each flag's default.
+_ALPHA1_HELP = "pretest significance level, in [1e-323, 1) (default %(default)s)"
+_ALPHA_HELP = "one minus the nominal coverage, in [1e-323, 1) (default %(default)s)"
+_SEED_HELP = "Philox key, in [0, 2**64) (default %(default)s)"
 
 
 @dataclass(frozen=True)
@@ -261,8 +267,23 @@ def cmd_validate(args) -> int:
     return 0 if not failures else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads -1e-3, -2.5E-1, -inf and -nan as values, not flags."""
+
+    #: Negative numbers in every spelling float() reads. argparse's own pattern
+    #: (-1 and -.5 only, in Python 3.11) is the private attribute this replaces.
+    #: No flag here looks like a number, so none can be mistaken for one.
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                                  re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Subparsers are built with the parser's own class, so they read numbers alike.
+    parser = _Parser(
         prog="crossover-coverage",
         description="Coverage analysis of the two-stage ABAB/BABA crossover "
                     "confidence interval.")
@@ -272,13 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser(
         "coverage-curve",
         help="evaluate the coverage curve on a gamma grid and write it as CSV")
-    curve.add_argument("--alpha1", type=float, default=0.1,
-                       help="pretest significance level (default 0.1)")
-    curve.add_argument("--alpha", type=float, default=0.05,
-                       help="one minus the nominal coverage (default 0.05)")
-    curve.add_argument("--gamma-min", type=float, default=-8.0)
-    curve.add_argument("--gamma-max", type=float, default=8.0)
-    curve.add_argument("--steps", type=int, default=801)
+    curve.add_argument("--alpha1", type=float, default=0.1, help=_ALPHA1_HELP)
+    curve.add_argument("--alpha", type=float, default=0.05, help=_ALPHA_HELP)
+    curve.add_argument("--gamma-min", type=float, default=-8.0,
+                       help="first gamma of the grid, finite and below --gamma-max "
+                            "(default %(default)s)")
+    curve.add_argument("--gamma-max", type=float, default=8.0,
+                       help="last gamma of the grid, finite (default %(default)s)")
+    curve.add_argument("--steps", type=int, default=801,
+                       help="grid points, endpoints included, in [2, 2**60) "
+                            "(default %(default)s)")
     curve.add_argument("--out", required=True, help="CSV output path")
     curve.set_defaults(func=cmd_coverage_curve)
 
@@ -286,46 +310,59 @@ def build_parser() -> argparse.ArgumentParser:
         "min-coverage",
         help="minimum coverage over gamma for a grid of level pairs")
     minc.add_argument("--alpha1", type=float, nargs="+",
-                      default=[0.01, 0.05, 0.1, 0.2])
+                      default=[0.01, 0.05, 0.1, 0.2],
+                      help=f"one or more; each a {_ALPHA1_HELP}")
     minc.add_argument("--alpha", type=float, nargs="+",
-                      default=[0.01, 0.05, 0.1])
+                      default=[0.01, 0.05, 0.1],
+                      help=f"one or more; each {_ALPHA_HELP}")
     minc.add_argument("--out", default=None, help="optional CSV output path")
     minc.set_defaults(func=cmd_min_coverage)
 
     sim = sub.add_parser(
         "simulate",
         help="compare simulated coverage against the analytic value")
-    sim.add_argument("--n1", type=int, default=8)
-    sim.add_argument("--n2", type=int, default=8)
+    sim.add_argument("--n1", type=int, default=8,
+                     help="subjects in group 1 (ABAB), at least 1 (default %(default)s)")
+    sim.add_argument("--n2", type=int, default=8,
+                     help="subjects in group 2 (BABA), at least 1 (default %(default)s)")
     sim.add_argument("--theta", type=float, default=0.0,
-                     help="true treatment difference")
+                     help="true treatment difference, finite (default %(default)s)")
     sim.add_argument("--psi", type=float, default=0.0,
-                     help="true differential carryover")
+                     help="true differential carryover, finite (default %(default)s)")
     sim.add_argument("--sigma-s2", type=float, default=1.0,
                      help="between-subject variance; it cancels from every estimator, "
                           "so the run does not draw it (default 1)")
     sim.add_argument("--sigma-e2", type=float, default=1.0,
                      help="error variance; the procedure's sigma_e is its square root "
                           "(default 1)")
-    sim.add_argument("--alpha1", type=float, default=0.1)
-    sim.add_argument("--alpha", type=float, default=0.05)
-    sim.add_argument("--reps", type=int, default=1_000_000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--alpha1", type=float, default=0.1, help=_ALPHA1_HELP)
+    sim.add_argument("--alpha", type=float, default=0.05, help=_ALPHA_HELP)
+    sim.add_argument("--reps", type=int, default=1_000_000,
+                     help="replications, at least 1 (default %(default)s)")
+    sim.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     sim.set_defaults(func=cmd_simulate)
 
     eff = sub.add_parser(
         "efficiency",
         help="robust crossover estimator vs a completely randomized trial")
-    eff.add_argument("--sigma-s2", type=float, required=True)
-    eff.add_argument("--sigma-e2", type=float, default=1.0)
-    eff.add_argument("--n", type=int, default=10, help="subjects per group")
+    eff.add_argument("--sigma-s2", type=float, required=True,
+                     help="between-subject variance, at least 0 (required)")
+    eff.add_argument("--sigma-e2", type=float, default=1.0,
+                     help="error variance, above 0 (default %(default)s); both "
+                          "variances of the comparison must come out normal floats")
+    eff.add_argument("--n", type=int, default=10,
+                     help="subjects per group, at least 1 (default %(default)s)")
     eff.set_defaults(func=cmd_efficiency)
 
     val = sub.add_parser(
         "validate",
         help="run the cross-route and analytic-vs-simulation checks")
-    val.add_argument("--seed", type=int, default=1729)
-    val.add_argument("--reps", type=int, default=1_000_000)
+    val.add_argument("--seed", type=int, default=1729,
+                     help=f"{_SEED_HELP}; the run at the i-th gamma keys seed + i, "
+                          "wrapped below 2**64")
+    val.add_argument("--reps", type=int, default=1_000_000,
+                     help=f"replications per simulation check, at least {_VALIDATE_MIN_REPS} "
+                          "(default %(default)s)")
     val.set_defaults(func=cmd_validate)
 
     return parser

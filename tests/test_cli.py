@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from crossover_coverage import (
     estimator_moments,
     scaled_carryover,
 )
-from crossover_coverage.cli import main
+from crossover_coverage.cli import build_parser, main
 
 import crossover_coverage.cli
 import crossover_coverage.simulate
@@ -387,3 +388,40 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    # A value after its flag, in the spellings argparse's own pattern misses.
+    @pytest.mark.parametrize("flag,value", [("--psi", "-1e-3"), ("--theta", "-2.5E-1"),
+                                            ("--psi", "-1.5e+0"), ("--theta", "-1.")])
+    def test_negative_exponent_reads_as_a_value(self, capsys, flag, value):
+        args = ["simulate", "--reps", "1000", "--seed", "3"]
+        assert main([*args, flag, value]) == 0
+        spaced = capsys.readouterr().out
+        assert main([*args, f"{flag}={value}"]) == 0
+        assert spaced == capsys.readouterr().out
+
+    def test_negative_exponent_gamma_range(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["coverage-curve", "--gamma-min", "-1e1", "--gamma-max", "1e1",
+                     "--steps", "5", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [gamma for gamma, _ in rows] == [-10.0, -5.0, 0.0, 5.0, 10.0]
+
+    @pytest.mark.parametrize("argv,name", [
+        (["simulate", "--reps", "10", "--theta", "-inf"], "treatment_difference"),
+        (["simulate", "--reps", "10", "--psi", "-NaN"], "differential_carryover"),
+        (["min-coverage", "--alpha1", "0.1", "-1e-3"], "alpha1"),
+    ])
+    def test_negative_non_finite_or_level_reaches_the_domain_check(self, capsys, argv, name):
+        # Read as values, they meet the library's checks: DomainError, exit 2.
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must")
+
+    def test_every_option_has_help(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {"coverage-curve", "min-coverage", "simulate",
+                                    "efficiency", "validate"}
+        for name, command in sub.choices.items():
+            for action in command._actions:
+                if action.option_strings != ["-h", "--help"]:
+                    assert action.help, (name, action.option_strings)

@@ -37,8 +37,12 @@ NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])", re.IGNORECASE)
 
 
 def given_flag(name, pool):
-    """``--name=value`` with a value from the pool; the ``=`` lets ``-inf`` parse."""
-    return st.sampled_from(pool).map(lambda v: [f"--{name}={v}"])
+    """``--name=value`` or ``--name value``, with a value from the pool.
+
+    Both spellings must read a negative value such as ``-inf`` as the flag's value.
+    """
+    return st.tuples(st.sampled_from(pool), st.booleans()).map(
+        lambda pair: [f"--{name}", str(pair[0])] if pair[1] else [f"--{name}={pair[0]}"])
 
 
 def some_flags(pools, max_size):

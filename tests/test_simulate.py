@@ -662,6 +662,20 @@ class TestEstimatorMoments:
                 corr = cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2])
                 assert abs(moments.corr_robust_carryover - corr) <= 1e-13
 
+    def test_spread_free_of_large_means(self):
+        # The sums are taken in unit-noise coordinates, where the estimators
+        # have mean 0, so effects of 5e8 (period differences near 1.2e9,
+        # inside _check_precision's 2**33 s = 2.1e9) leave every spread
+        # moment bit-identical. Sums of the period differences themselves,
+        # with a spread of 0.5, would lose every digit there.
+        names = ("var_pooled", "var_robust", "var_carryover", "cov_pooled_carryover",
+                 "cov_robust_carryover", "corr_robust_carryover")
+        small, large = (estimator_moments(make_config(n1=8, n2=8, theta=theta, psi=psi,
+                                                      replications=10_000, seed=3))
+                        for theta, psi in ((0.0, 0.0), (5e8, -5e8)))
+        for name in names:
+            assert getattr(large, name) == getattr(small, name), name
+
     def test_memory_flat_in_replications(self):
         # The estimates are folded chunk by chunk, never all held at once.
         config = make_config(n1=8, n2=8, replications=400_000, seed=3)

@@ -37,10 +37,7 @@ NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])", re.IGNORECASE)
 
 
 def given_flag(name, pool):
-    """``--name=value`` or ``--name value``, with a value from the pool.
-
-    Both spellings must read a negative value such as ``-inf`` as the flag's value.
-    """
+    """``--name=value`` or ``--name value``, with a value from the pool."""
     return st.tuples(st.sampled_from(pool), st.booleans()).map(
         lambda pair: [f"--{name}", str(pair[0])] if pair[1] else [f"--{name}={pair[0]}"])
 

@@ -218,6 +218,13 @@ def _quad_vec(integrand, lo: float, hi: float) -> tuple[np.ndarray, float]:
                     epsrel=_QUAD_REQUEST, norm="max")
 
 
+def _critical_values(alpha1, alpha) -> tuple[float, float, float, float]:
+    """The levels (alpha1, alpha), checked, and their critical values (c1, c)."""
+    alpha1 = _checked_real("alpha1", alpha1, level=True)
+    alpha = _checked_real("alpha", alpha, level=True)
+    return alpha1, alpha, std_normal_quantile(alpha1), std_normal_quantile(alpha)
+
+
 def reject_cover_routes(gamma: float, alpha1: float,
                         alpha: float) -> tuple[float, float, float]:
     """P(robust interval covers AND pretest rejects), by both routes.
@@ -226,11 +233,9 @@ def reject_cover_routes(gamma: float, alpha1: float,
     the quadrature value is the authoritative one. Raises if the routes
     disagree beyond ROUTE_AGREEMENT_TOL.
     """
-    query = CoverageQuery(gamma, alpha1, alpha)
-    c1 = std_normal_quantile(query.alpha1)
-    c = std_normal_quantile(query.alpha)
-    via_bvn, via_quad, abserr, _ = _routes(query.gamma, query.alpha, c1, c,
-                                           _between, _band, _quad)
+    gamma = _checked_real("gamma", gamma)
+    _, alpha, c1, c = _critical_values(alpha1, alpha)
+    via_bvn, via_quad, abserr, _ = _routes(gamma, alpha, c1, c, _between, _band, _quad)
     return _clip_prob(via_bvn), _clip_prob(via_quad), abserr
 
 
@@ -259,9 +264,8 @@ def coverage_probability(query: CoverageQuery) -> CoverageResult:
     This is the accept-branch product plus the reject-branch joint term;
     it is symmetric in gamma and tends to 1 - alpha as |gamma| grows.
     """
-    c1 = std_normal_quantile(query.alpha1)
-    c = std_normal_quantile(query.alpha)
-    value, err_bound = _coverage_value(query.gamma, query.alpha, c1, c)
+    _, alpha, c1, c = _critical_values(query.alpha1, query.alpha)
+    value, err_bound = _coverage_value(query.gamma, alpha, c1, c)
     return CoverageResult(value=value, err_bound=err_bound)
 
 
@@ -273,8 +277,7 @@ def coverage_curve(alpha1: float, alpha: float, gamma_min: float,
     checked at every point; each value matches coverage_probability at the
     same gamma to about 1e-15. A range whose span overflows a float raises.
     """
-    alpha1 = _checked_real("alpha1", alpha1, level=True)
-    alpha = _checked_real("alpha", alpha, level=True)
+    _, alpha, c1, c = _critical_values(alpha1, alpha)
     gamma_min = _checked_real("gamma_min", gamma_min)
     gamma_max = _checked_real("gamma_max", gamma_max)
     if not gamma_min < gamma_max:
@@ -286,8 +289,6 @@ def coverage_curve(alpha1: float, alpha: float, gamma_min: float,
     if not np.isfinite(grid).all():
         raise DomainError(f"gamma range [{gamma_min!r}, {gamma_max!r}] is too wide: "
                           "its span or grid points are not finite")
-    c1 = std_normal_quantile(alpha1)
-    c = std_normal_quantile(alpha)
     values = _coverage_grid(grid, alpha, c1, c)
     return [CurvePoint(g, v) for g, v in zip(grid.tolist(), values.tolist())]
 
@@ -310,10 +311,7 @@ def min_coverage(alpha1: float, alpha: float) -> MinCoverageReport:
     < 1.2e-19 for gamma >= c1 + 9, and the infimum over [0, inf) is within
     2.4e-19 of the minimum over [0, c1 + 9]; the grid reaches c1 + 9.
     """
-    alpha1 = _checked_real("alpha1", alpha1, level=True)
-    alpha = _checked_real("alpha", alpha, level=True)
-    c1 = std_normal_quantile(alpha1)
-    c = std_normal_quantile(alpha)
+    alpha1, alpha, c1, c = _critical_values(alpha1, alpha)
 
     def f(g: float) -> float:
         return _coverage_value(g, alpha, c1, c)[0]

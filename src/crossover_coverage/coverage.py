@@ -47,6 +47,7 @@ from .errors import (
     _checked_int,
     _checked_items,
     _checked_real,
+    _checked_record,
 )
 from .normal import INV_SQRT_2PI, _between, _between_array, std_normal_quantile
 from .trial import _VAR_CARRYOVER, _VAR_POOLED, _VAR_ROBUST, PIVOT_PRETEST_CORR
@@ -264,6 +265,7 @@ def coverage_probability(query: CoverageQuery) -> CoverageResult:
     This is the accept-branch product plus the reject-branch joint term;
     it is symmetric in gamma and tends to 1 - alpha as |gamma| grows.
     """
+    _checked_record("query", query, CoverageQuery)
     _, alpha, c1, c = _critical_values(query.alpha1, query.alpha)
     value, err_bound = _coverage_value(query.gamma, alpha, c1, c)
     return CoverageResult(value=value, err_bound=err_bound)

@@ -4,7 +4,9 @@ The scalar checks reject booleans and strings, and return a plain ``int``
 or ``float`` that callers keep: under numpy 2's promotion rules an
 ``np.float32`` level would otherwise run the engine in single precision.
 A sequence argument is read into a tuple, so a scalar in its place raises
-``DomainError`` rather than ``TypeError``.
+``DomainError`` rather than ``TypeError``. A record argument (a
+``TrialDesign``, a ``SimConfig``, ...) of another type raises
+``DomainError`` before any of its attributes is read.
 """
 
 import math
@@ -89,3 +91,9 @@ def _checked_items(name: str, value, length: int | None = None) -> tuple:
     if length is not None and len(items) != length:
         raise DomainError(f"{name} must have exactly {length} entries, got {len(items)}")
     return items
+
+
+def _checked_record(name: str, value, kind: type) -> None:
+    """Raise unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")

@@ -53,7 +53,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _checked_int
+from .errors import DomainError, NumericalError, _checked_int, _checked_record
 # Nothing here calls std_normal_quantile; the binding stays because the
 # benchmark's tracer (perfbench/spans.py) wraps simulate.std_normal_quantile.
 from .normal import std_normal_inverse_cdf, std_normal_quantile
@@ -96,6 +96,8 @@ class SimConfig:
     two_stage: TwoStageConfig = field(init=False)
 
     def __post_init__(self):
+        _checked_record("design", self.design, TrialDesign)
+        _checked_record("params", self.params, ModelParams)
         two_stage = TwoStageConfig(self.alpha1, self.alpha, math.sqrt(self.params.error_var))
         object.__setattr__(self, "two_stage", two_stage)
         object.__setattr__(self, "alpha1", two_stage.alpha1)
@@ -185,6 +187,8 @@ def theoretical_moments(design: TrialDesign, params: ModelParams) -> EstimatorMo
     type: the estimands theta - psi, theta and psi, and m sigma_e^2 B B^T.
     None involve the between-subject variance: each row of B sums to 0.
     """
+    _checked_record("design", design, TrialDesign)
+    _checked_record("params", params, ModelParams)
     theta = params.treatment_difference
     psi = params.differential_carryover
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -286,6 +290,8 @@ def simulate_trial(design: TrialDesign, params: ModelParams, seed: int,
     Drawn from the subject-level layout, not the tally's: see the module's
     reproducibility contract.
     """
+    _checked_record("design", design, TrialDesign)
+    _checked_record("params", params, ModelParams)
     seed = _checked_int("seed", seed, 0, _SEED_LIMIT)
     rep_index = _checked_int("rep_index", rep_index, 0, _SEED_LIMIT,
                              why="the seed's range, far below Philox's counter wrap")
@@ -353,6 +359,7 @@ def empirical_coverage(config: SimConfig, *, chunk_size: int | None = None) -> E
     (including its seed) and independent of chunk_size, which only bounds
     working memory.
     """
+    _checked_record("config", config, SimConfig)
     theta = config.params.treatment_difference
     rule = _two_stage_rule(config.design, config.two_stage)
     hits = 0
@@ -377,6 +384,7 @@ def estimator_moments(config: SimConfig) -> EstimatorMoments:
     estimators of fd + sqrt(m) sigma_e mean(z), and the covariances the unit
     ones times (sqrt(m) sigma_e)^2.
     """
+    _checked_record("config", config, SimConfig)
     n = config.replications
     z_sum, x_sum, xx_sum = np.zeros(4), np.zeros(3), np.zeros((3, 3))
     for z in _unit_chunks(config, None):

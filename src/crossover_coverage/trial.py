@@ -22,7 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _checked_int, _checked_items, _checked_real
+from .errors import (
+    DomainError,
+    NumericalError,
+    _checked_int,
+    _checked_items,
+    _checked_real,
+    _checked_record,
+)
 from .normal import _as_float_array, std_normal_quantile
 
 #: B: the pooled, robust and carryover estimators' coefficients on (d1, d2, d3, d4).
@@ -180,6 +187,8 @@ def reduce_responses(design: TrialDesign, responses: SubjectResponses) -> Period
     The differencing removes the grand mean and all period effects exactly
     (in real arithmetic), which is the whole point of the reduction.
     """
+    _checked_record("design", design, TrialDesign)
+    _checked_record("responses", responses, SubjectResponses)
     if responses.group1.shape[0] != design.n1 or responses.group2.shape[0] != design.n2:
         raise DomainError(
             f"responses have groups of size {responses.group1.shape[0]} and "
@@ -213,6 +222,7 @@ def carryover_effect_estimate(d1, d2, d3, d4):
 
 def estimate_effects(reduced: PeriodDifferences) -> EffectEstimates:
     """Compute the three estimators from the period differences; an overflow raises."""
+    _checked_record("reduced", reduced, PeriodDifferences)
     d1, d2, d3, d4 = reduced.d1, reduced.d2, reduced.d3, reduced.d4
     estimates = EffectEstimates(
         pooled_effect=pooled_effect_estimate(d1, d2, d3, d4),
@@ -235,6 +245,7 @@ def scaled_carryover(psi: float, design: TrialDesign, sigma_e: float) -> float:
     This single dimensionless parameter is all the coverage probability of
     the two-stage interval depends on.
     """
+    _checked_record("design", design, TrialDesign)
     sigma_e = _checked_real("sigma_e", sigma_e, sign="positive")
     psi = _checked_real("psi", psi)
     gamma = carryover_scale(design.m) * psi / sigma_e
@@ -272,6 +283,9 @@ def two_stage(reduced: PeriodDifferences, design: TrialDesign,
     narrow interval around the pooled estimator, rejection the wide one
     around the robust estimator.
     """
+    _checked_record("reduced", reduced, PeriodDifferences)
+    _checked_record("design", design, TrialDesign)
+    _checked_record("config", config, TwoStageConfig)
     with np.errstate(over="ignore"):  # refused below
         stat, accepted, lo, hi = _two_stage_rule(design, config)(*estimate_effects(reduced))
     if not (math.isfinite(stat) and math.isfinite(lo) and math.isfinite(hi)):

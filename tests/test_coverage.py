@@ -353,6 +353,19 @@ class TestMinCoverage:
             assert report.min_coverage <= at_zero
             assert report.min_coverage <= 1.0 - alpha
 
+    def test_grid_value_kept_at_the_boundary(self):
+        # At (0.9, 0.9) the minimum sits at gamma = 0, the search's lower end.
+        # The bounded Brent step alone stops near gamma = 6.6e-7, about 1.4e-14
+        # higher, so the search must keep the grid's value at 0.
+        def cov(g):
+            return coverage_probability(CoverageQuery(g, 0.9, 0.9)).value
+
+        report = min_coverage(0.9, 0.9)
+        assert report.gamma_star == 0.0
+        assert abs(report.min_coverage - cov(0.0)) <= 1e-15
+        for g in (1e-6, 1e-3, 0.01, 1.0):
+            assert report.min_coverage <= cov(g)
+
     def test_search_reaches_minimum_beyond_gamma_20(self):
         # With levels this small the coverage falls to 0 near gamma = 21.4,
         # past the end of a fixed [0, 20] scan.

@@ -1,7 +1,9 @@
-"""One input contract across every public entry point.
+"""One input contract across every public entry point: scalar and record checks.
 
 Each scalar argument rejects booleans, strings and NaN with DomainError,
-accepts numpy scalars, and is kept as a plain Python number.
+accepts numpy scalars, and is kept as a plain Python number. Each record
+argument (a TrialDesign, a SimConfig, ...) refuses a value of any other type
+with a DomainError that names it.
 """
 
 import dataclasses
@@ -97,6 +99,27 @@ ENTRY_POINTS = [
 ARGUMENTS = [pytest.param(fn, kwargs, arg, id=f"{name}-{arg}")
              for name, fn, kwargs in ENTRY_POINTS for arg in kwargs]
 
+DIFFERENCES = PeriodDifferences(0.5, -1.0, 0.25, 2.0)
+
+# (name, callable, valid record arguments by name); every argument listed is checked.
+RECORDS = [
+    ("SimConfig", partial(SimConfig, alpha1=0.1, alpha=0.05, replications=10, seed=1),
+     dict(design=DESIGN, params=PARAMS)),
+    ("coverage_probability", coverage_probability,
+     dict(query=CoverageQuery(0.5, 0.1, 0.05))),
+    ("estimate_effects", estimate_effects, dict(reduced=DIFFERENCES)),
+    ("two_stage", two_stage,
+     dict(reduced=DIFFERENCES, design=DESIGN, config=TwoStageConfig(0.1, 0.05, 1.0))),
+    ("reduce_responses", reduce_responses,
+     dict(design=DESIGN, responses=SubjectResponses(np.zeros((2, 4)), np.ones((2, 4))))),
+    ("theoretical_moments", theoretical_moments, dict(design=DESIGN, params=PARAMS)),
+    ("estimator_moments", estimator_moments, dict(config=CONFIG)),
+    ("empirical_coverage", empirical_coverage, dict(config=CONFIG)),
+    ("simulate_trial", partial(simulate_trial, seed=3, rep_index=2),
+     dict(design=DESIGN, params=PARAMS)),
+    ("scaled_carryover", partial(scaled_carryover, 0.3, sigma_e=1.0), dict(design=DESIGN)),
+]
+
 # Public classes and functions with no row in ENTRY_POINTS, and why.
 EXEMPT = {
     **dict.fromkeys(["CrossoverError", "DomainError", "NumericalError", "QuadratureError",
@@ -105,12 +128,6 @@ EXEMPT = {
                      "EmpiricalCoverage", "EstimatorMoments", "MinCoverageReport",
                      "TwoStageOutcome"], "a result type"),
     "SubjectResponses": "takes arrays, not scalars; tests/test_trial.py checks them",
-    "coverage_probability": "takes only a CoverageQuery",
-    "estimate_effects": "takes only a PeriodDifferences",
-    "estimator_moments": "takes only a SimConfig",
-    "reduce_responses": "takes only a TrialDesign and SubjectResponses",
-    "theoretical_moments": "takes only a TrialDesign and ModelParams",
-    "two_stage": "takes only a PeriodDifferences, TrialDesign and TwoStageConfig",
 }
 
 
@@ -119,8 +136,17 @@ def test_every_public_callable_has_a_row_or_an_exemption():
               if inspect.isclass(obj := getattr(crossover_coverage, name))
               or inspect.isfunction(obj)}
     # A row named "SimConfig.create" covers SimConfig.
-    covered = {name.split(".")[0] for name, _, _ in ENTRY_POINTS}
+    covered = {name.split(".")[0] for name, _, _ in ENTRY_POINTS + RECORDS}
     assert public - covered == set(EXEMPT)
+
+
+@pytest.mark.parametrize("bad", [None, (2, 2), "0.1"], ids=["none", "tuple", "str"])
+@pytest.mark.parametrize("fn,kwargs,arg", [
+    pytest.param(fn, kwargs, arg, id=f"{name}-{arg}")
+    for name, fn, kwargs in RECORDS for arg in kwargs])
+def test_wrong_typed_records_refused_by_name(fn, kwargs, arg, bad):
+    with pytest.raises(DomainError, match=f"^{arg} must be a {type(kwargs[arg]).__name__}, "):
+        fn(**{**kwargs, arg: bad})
 
 
 def _numpy_scalar(value):

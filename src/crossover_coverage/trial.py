@@ -22,14 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NumericalError,
-    _checked_int,
-    _checked_items,
-    _checked_real,
-    _checked_record,
-)
+from .errors import (DomainError, NumericalError, _checked_int, _checked_items, _checked_real,
+                     _checked_record)
 from .normal import _as_float_array, std_normal_quantile
 
 #: B: the pooled, robust and carryover estimators' coefficients on (d1, d2, d3, d4).

@@ -120,7 +120,7 @@ RECORDS = [
     ("scaled_carryover", partial(scaled_carryover, 0.3, sigma_e=1.0), dict(design=DESIGN)),
 ]
 
-# Public classes and functions with no row in ENTRY_POINTS, and why.
+# Public classes and functions with no row in ENTRY_POINTS or RECORDS, and why.
 EXEMPT = {
     **dict.fromkeys(["CrossoverError", "DomainError", "NumericalError", "QuadratureError",
                      "RouteDisagreementError"], "an exception type"),
